@@ -365,24 +365,6 @@ func BenchmarkPredictFastPath(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
 	})
-	// The float32 inference-weights path (what registry-served models run by
-	// default). Enabled last so the float64 sub-benchmarks above measure the
-	// default engine.
-	m.SetFloat32Inference(true)
-	m.PrecomputeInference()
-	b.Run("engine32-single", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.Predict(s)
-		}
-	})
-	b.Run("engine32-batch-32", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = m.PredictBatch(batch)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/sample")
-	})
 }
 
 // BenchmarkGNNTrainStep measures one forward+backward+accumulate pass.

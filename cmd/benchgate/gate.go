@@ -33,10 +33,8 @@ var comparisons = []comparison{
 	{"BenchmarkPredictFastPath/tape-single", "ns/op", "tape_single_ns_op"},
 	{"BenchmarkPredictFastPath/engine-single", "ns/op", "engine_single_ns_op"},
 	{"BenchmarkGNNForward", "ns/op", "engine_single_ns_op"},
-	{"BenchmarkPredictFastPath/engine32-single", "ns/op", "engine32_single_ns_op"},
 	{"BenchmarkPredictFastPath/tape-batch-32", "ns/sample", "tape_batch32_ns_sample"},
 	{"BenchmarkPredictFastPath/engine-batch-32", "ns/sample", "engine_batch32_ns_sample"},
-	{"BenchmarkPredictFastPath/engine32-batch-32", "ns/sample", "engine32_batch32_ns_sample"},
 }
 
 // parseBench reads raw `go test -bench` output. Each benchmark result line
@@ -145,9 +143,16 @@ func gate(data *benchData, base *baselineEntry, threshold float64) (string, bool
 		fmt.Fprintf(&b, "mode: absolute (benchmark CPU matches baseline)\n")
 		compared := 0
 		for _, c := range comparisons {
-			vals := data.Samples[c.Bench+"|"+c.Unit]
 			want, ok := base.Results[c.Key]
-			if len(vals) == 0 || !ok || want <= 0 {
+			if !ok || want <= 0 {
+				continue
+			}
+			// A tracked benchmark the baseline records but the run lacks was
+			// renamed or deleted: fail instead of silently gating less.
+			vals := data.Samples[c.Bench+"|"+c.Unit]
+			if len(vals) == 0 {
+				fmt.Fprintf(&b, "  %-46s MISSING from run (baseline %s)\n", c.Bench, c.Key)
+				pass = false
 				continue
 			}
 			med := median(vals)

@@ -176,3 +176,29 @@ func TestGateMissingDataFails(t *testing.T) {
 		t.Fatalf("ratio mode passed with no tape/engine samples:\n%s", report)
 	}
 }
+
+// TestGateFailsOnMissingTrackedBenchmark covers a tracked benchmark that the
+// baseline records but the run omits (renamed or deleted): absolute mode
+// must report it MISSING and fail rather than gate the remaining ones.
+func TestGateFailsOnMissingTrackedBenchmark(t *testing.T) {
+	for _, c := range comparisons {
+		var kept []string
+		for _, line := range strings.Split(sampleOutput, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], c.Bench+"-") {
+				continue
+			}
+			kept = append(kept, line)
+		}
+		data, err := parseBench(strings.NewReader(strings.Join(kept, "\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, ok := gate(data, sampleBaseline(), 0.20)
+		if ok {
+			t.Errorf("gate passed a run without %s:\n%s", c.Bench, report)
+		}
+		if !strings.Contains(report, "MISSING") || !strings.Contains(report, "verdict: FAIL") {
+			t.Errorf("without %s, report:\n%s", c.Bench, report)
+		}
+	}
+}

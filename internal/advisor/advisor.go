@@ -271,7 +271,8 @@ func (a *Advisor) EncodeInstance(in variants.Instance) (*gnn.Sample, error) {
 
 // EncodeInstanceCtx is EncodeInstance with a request context: a cache miss
 // that runs the encode pipeline records an "encode" span on the context's
-// trace (cache hits record nothing — they cost microseconds).
+// trace, annotated with the error when the pipeline fails (cache hits record
+// nothing — they cost microseconds).
 func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (*gnn.Sample, error) {
 	var key string
 	var eg *gnn.Graph
@@ -289,11 +290,13 @@ func (a *Advisor) EncodeInstanceCtx(ctx context.Context, in variants.Instance) (
 			Threads:  in.Threads,
 			Bindings: in.Bindings,
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			eg, err = gnn.Encode(g, int(paragraph.NumEdgeTypes))
 		}
-		eg, err = gnn.Encode(g, int(paragraph.NumEdgeTypes))
 		if err != nil {
+			// End the span on failure too: rejected kernels belong in traces.
+			sp.Annotate("error: " + err.Error())
+			sp.End()
 			return nil, err
 		}
 		if a.encCache != nil {

@@ -1,7 +1,9 @@
 package advisor
 
 import (
+	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"paragraph/internal/dataset"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
+	"paragraph/internal/obs"
 	"paragraph/internal/variants"
 )
 
@@ -133,6 +136,41 @@ func TestAdviseErrors(t *testing.T) {
 	if _, err := a.Advise(k, nil, SearchSpace{CPUThreads: []int{4}}); err == nil {
 		t.Error("empty GPU grid accepted")
 	}
+}
+
+// TestAdviseTracesFailedEncode pins that a custom kernel the front end
+// rejects still leaves an "encode" span, annotated with the error, on the
+// request's trace.
+func TestAdviseTracesFailedEncode(t *testing.T) {
+	k := apps.Kernel{
+		App: "custom", Name: "broken", FuncName: "k",
+		Source: "void k(double *a, int n) {\n" + apps.PragmaMarker + "\n" +
+			"    for (int i = 0; i < n; i++ { a[i] = 0.0; }\n}\n",
+		Params: []apps.Param{{Name: "n", Values: []int{64}}},
+	}
+	tracer := obs.NewTracer(obs.TracerOptions{})
+	tr := tracer.Start("", "advise")
+	a := New(weightOracle{}, testPrep(), hw.V100())
+	a.SetWorkers(1)
+	_, err := a.AdviseCtx(obs.WithTrace(context.Background(), tr), k,
+		map[string]float64{"n": 64}, SearchSpace{GPUTeams: []int{16}, GPUThreads: []int{64}})
+	if err == nil {
+		t.Fatal("unparsable custom kernel accepted")
+	}
+	tracer.Finish(tr, 400)
+	ft, ok := tracer.Find(tr.ID())
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	for _, sp := range ft.Spans {
+		if sp.Name == "encode" {
+			if !strings.HasPrefix(sp.Detail, "error: ") {
+				t.Errorf("encode span detail = %q, want the error", sp.Detail)
+			}
+			return
+		}
+	}
+	t.Fatalf("no encode span recorded for a failed encode: %+v", ft.Spans)
 }
 
 func TestPredictInstanceUSAppliesScalers(t *testing.T) {

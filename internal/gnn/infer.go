@@ -14,8 +14,8 @@ import (
 // to float reassociation — the kernels below reassociate sums (tiled
 // matmuls, precomputed attention projections, fused softmax scaling) to run
 // near the FLOP limit, so predictions agree with the tape to a relaxed
-// tolerance (TestInferEngineMatchesTape enforces ≤ 1e-9; the float32
-// weights path is gated at ≤ 1e-4) instead of bit for bit.
+// tolerance (TestInferEngineMatchesTape enforces ≤ 1e-9) instead of bit for
+// bit.
 //
 // Three precomputed structures make the hot path cheap:
 //
@@ -27,21 +27,15 @@ import (
 //     relations touch a small fraction of the graph, so projecting source
 //     rows only cuts the dominant N·H² matmul cost to |sources|·H².
 //
-//   - inferModel (model.go): weight-derived constants computed once at
+//   - inferModel (inferparams.go): weight-derived constants computed once at
 //     checkpoint-load time, not per forward — the per-relation attention
-//     projections p_src = W_r·aSrc and p_dst = W_r·aDst (so attention
-//     scores become one H-dot per node instead of an H²-projection), and,
-//     when float32 inference is enabled, the converted float32 weight set.
+//     projections p_src = W_r·aSrc and p_dst = W_r·aDst, so attention scores
+//     become one H-dot per node instead of an H²-projection.
 //
 //   - inferWorkspace: the scratch matrices of one forward pass, sized from
-//     the model Config and graph shape, backed by tensor arenas and pooled
+//     the model Config and graph shape, backed by a tensor arena and pooled
 //     on the Model via sync.Pool. In steady state a forward pass performs
 //     zero heap allocations (asserted by TestInferForwardZeroAllocs).
-//
-// The matmuls dispatch between the register-blocked tiled kernel and the
-// skip-zero row kernel on the measured density of the layer input: ReLU
-// zeroes roughly half of each hidden layer's activations, and below
-// denseCutoff the skipped inner loops beat the tiled kernel's blocking.
 
 // relPlan is one relation's edges re-ordered by destination node.
 type relPlan struct {
@@ -155,38 +149,20 @@ func buildPlan(g *Graph) *InferencePlan {
 	return p
 }
 
-// denseCutoff is the zero fraction above which a layer input routes its
-// matmuls through the skip-zero kernel instead of the tiled one. On paper:
-// at zero fraction z the skip kernel does (1-z) of the naive work while the
-// tiled kernel runs at ~0.75× naive, suggesting a crossover near z = 0.25.
-// Measured, the crossover is far higher: ReLU zeros land in unpredictable
-// positions, so the skip branch mispredicts on roughly min(z, 1-z) of
-// elements, and the skip kernel's load-add-store inner loop retires far
-// fewer FLOPs per cycle than the register-blocked one. Typical ParaGraph
-// activations (z ≈ 0.5) run faster fully tiled; only strongly sparse
-// inputs pay their way through the skip kernel.
-const denseCutoff = 0.7
-
-// reluIntoDensity computes dst = max(src, 0) element-wise (dst is reshaped
-// to src's shape via the arena) and reports whether the result is dense
-// enough that the next layer's matmuls should stay on the tiled kernel.
-// Both the rectification and the zero count are branchless — the input's
+// reluInto computes dst = max(src, 0) element-wise (dst is reshaped to
+// src's shape via the arena). The rectification is branchless — the input's
 // sign pattern is effectively random, so a compare-and-branch here would
 // mispredict on half the elements.
-func reluIntoDensity(ar *tensor.Arena, src, dst *tensor.Matrix) bool {
+func reluInto(ar *tensor.Arena, src, dst *tensor.Matrix) {
 	ar.GetMatrix(dst, src.Rows, src.Cols)
-	neg := 0
 	for i, v := range src.Data {
-		neg += int(math.Float64bits(v) >> 63)
 		dst.Data[i] = max(v, 0)
 	}
-	return float64(neg) < denseCutoff*float64(len(src.Data))
 }
 
-// inferWorkspace holds every scratch buffer one engine forward pass needs,
-// for both element widths (only the width the model serves is ever grown).
+// inferWorkspace holds every scratch buffer one engine forward pass needs.
 // Matrices are stored by value (headers owned here, data owned by the
-// arenas), so re-running a pass over a same-shaped graph touches no
+// arena), so re-running a pass over a same-shaped graph touches no
 // allocator at all. Workspaces are pooled per Model and used by one
 // goroutine at a time.
 type inferWorkspace struct {
@@ -206,22 +182,6 @@ type inferWorkspace struct {
 	featEmb tensor.Matrix // 1×F feature-branch embedding
 	concat  tensor.Matrix // 1×(H+F) head input
 	outBuf  tensor.Matrix // 1×1 prediction
-
-	// Float32 twins (see infer32.go), used when the model serves the
-	// float32 inference-weights path.
-	arena32    tensor.Arena32
-	h32        tensor.Matrix32
-	layerOut32 tensor.Matrix32
-	hs32       tensor.Matrix32
-	qc32       tensor.Matrix32
-	srcScore32 []float32
-	pooled32   tensor.Matrix32
-	emb32      tensor.Matrix32
-	emb232     tensor.Matrix32
-	featIn32   tensor.Matrix32
-	featEmb32  tensor.Matrix32
-	concat32   tensor.Matrix32
-	outBuf32   tensor.Matrix32
 }
 
 // acquireWS takes a pooled workspace (allocating the empty shell only the
@@ -234,14 +194,9 @@ func (m *Model) releaseWS(ws *inferWorkspace) { m.wsPool.Put(ws) }
 
 // inferForward runs one engine forward pass: fused node-feature assembly,
 // the fused RGAT convolutions, mean pooling, and the two-branch head. It
-// mirrors Model.Forward (the tape path) up to float reassociation,
-// dispatching to the float32 engine when the model serves converted
-// inference weights.
+// mirrors Model.Forward (the tape path) up to float reassociation.
 func (m *Model) inferForward(ws *inferWorkspace, s *Sample) float64 {
 	ip := m.inferParams()
-	if ip.f32 != nil {
-		return m.inferForward32(ws, s, ip.f32)
-	}
 	g := s.G
 	p := g.plan()
 	n, hdim := g.NumNodes, m.cfg.Hidden
@@ -269,11 +224,9 @@ func (m *Model) inferForward(ws *inferWorkspace, s *Sample) float64 {
 	}
 
 	ws.logits = ar.GetSlice(ws.logits, p.maxRun)
-	dense := true // the embedding sum is dense; ReLU sparsifies later layers
 	for li, l := range m.layers {
-		l.infer(ws, p, g, &ip.layers[li], dense)
-		// h = ReLU(layerOut), measuring density for the next layer's kernels.
-		dense = reluIntoDensity(ar, &ws.layerOut, &ws.h)
+		l.infer(ws, p, g, &ip.layers[li])
+		reluInto(ar, &ws.layerOut, &ws.h)
 	}
 
 	tensor.MeanRowsInto(&ws.h, &ws.pooled)
@@ -301,18 +254,13 @@ func (m *Model) inferForward(ws *inferWorkspace, s *Sample) float64 {
 
 // infer is the fused engine counterpart of rgatLayer.apply: per relation it
 // gathers the unique source rows, projects them through W_r with one tiled
-// (or skip-zero, when the layer input is ReLU-sparse) matmul, reads the
-// attention scores off the precomputed projections p_src/p_dst — one H-dot
-// per node instead of re-projecting through W_r — and runs LeakyReLU,
-// segment softmax, static-weight scaling and message aggregation as one
-// loop nest over the plan's destination-grouped runs, accumulating straight
-// into the layer output.
-func (l *rgatLayer) infer(ws *inferWorkspace, p *InferencePlan, g *Graph, ex *inferLayerExtras, dense bool) {
-	if dense {
-		tensor.MatMulInto(&ws.h, l.self.Value, &ws.layerOut)
-	} else {
-		tensor.MatMulSparseInto(&ws.h, l.self.Value, &ws.layerOut)
-	}
+// matmul, reads the attention scores off the precomputed projections
+// p_src/p_dst — one H-dot per node instead of re-projecting through W_r —
+// and runs LeakyReLU, segment softmax, static-weight scaling and message
+// aggregation as one loop nest over the plan's destination-grouped runs,
+// accumulating straight into the layer output.
+func (l *rgatLayer) infer(ws *inferWorkspace, p *InferencePlan, g *Graph, ex *inferLayerExtras) {
+	tensor.MatMulInto(&ws.h, l.self.Value, &ws.layerOut)
 	tensor.AddBiasInto(&ws.layerOut, l.bias.Value, &ws.layerOut)
 	wscale := g.WScale
 	if wscale <= 0 {
@@ -336,11 +284,7 @@ func (l *rgatLayer) infer(ws *inferWorkspace, p *InferencePlan, g *Graph, ex *in
 		for si, node := range rp.srcList {
 			copy(ws.hs.Row(si), ws.h.Row(node))
 		}
-		if dense {
-			tensor.MatMulInto(&ws.hs, l.w[r].Value, &ws.qc)
-		} else {
-			tensor.MatMulSparseInto(&ws.hs, l.w[r].Value, &ws.qc)
-		}
+		tensor.MatMulInto(&ws.hs, l.w[r].Value, &ws.qc)
 		// Attention scores off the precomputed projections: one dot with
 		// p_src per source row; destination scores are one dot with p_dst
 		// per run, computed inline (each destination owns exactly one run).

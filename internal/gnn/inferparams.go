@@ -23,43 +23,11 @@ type inferLayerExtras struct {
 	pDst [][]float64
 }
 
-// layer32 is one convolution's weights converted to float32.
-type layer32 struct {
-	w     []*tensor.Matrix32 // per-relation projection H×H
-	pSrc  [][]float32        // per-relation W_r·aSrc, length H
-	pDst  [][]float32        // per-relation W_r·aDst, length H
-	wCoef []float32          // per-relation edge-weight coefficient
-	self  *tensor.Matrix32   // H×H
-	bias  *tensor.Matrix32   // 1×H
-	alpha float32
-}
-
-// weights32 is the full float32 inference weight set, converted from the
-// float64 parameters at build time. Derived vectors (pSrc/pDst) are
-// computed in float64 first and rounded once, so conversion error does not
-// compound through the precomputation.
-type weights32 struct {
-	kindTab *tensor.Matrix32
-	subTab  *tensor.Matrix32
-	featVec []float32
-
-	layers []layer32
-
-	fc1W, fc1B   *tensor.Matrix32
-	fc2W, fc2B   *tensor.Matrix32
-	featW, featB *tensor.Matrix32
-	outW, outB   *tensor.Matrix32
-
-	noWeights bool
-}
-
-// inferModel is the engine's derived view of the model weights: always the
-// float64 attention projections, plus the converted float32 weight set when
-// float32 inference is enabled. It is immutable once built and shared by
-// every concurrent forward pass via an atomic pointer.
+// inferModel is the engine's derived view of the model weights: the
+// attention projections of every layer. It is immutable once built and
+// shared by every concurrent forward pass via an atomic pointer.
 type inferModel struct {
 	layers []inferLayerExtras
-	f32    *weights32
 }
 
 // inferParams returns the current derived weights, building them under the
@@ -89,20 +57,6 @@ func (m *Model) InvalidateInference() { m.inferP.Store(nil) }
 // first request served by a freshly loaded model does not pay the build.
 func (m *Model) PrecomputeInference() { m.inferParams() }
 
-// SetFloat32Inference switches the inference engine between float64
-// arithmetic (the default, ≤1e-9 relative error against the tape) and
-// converted float32 weights (≤1e-4, roughly half the memory traffic).
-// Training and the tape path are always float64; the switch only affects
-// Predict/PredictBatch.
-func (m *Model) SetFloat32Inference(on bool) {
-	if m.f32Mode.Swap(on) != on {
-		m.InvalidateInference()
-	}
-}
-
-// Float32Inference reports whether the engine serves the float32 path.
-func (m *Model) Float32Inference() bool { return m.f32Mode.Load() }
-
 // buildInferModel derives the inference constants from the current
 // parameter values.
 func (m *Model) buildInferModel() *inferModel {
@@ -116,9 +70,6 @@ func (m *Model) buildInferModel() *inferModel {
 			ex.pDst[r] = projectAttention(l.w[r].Value, l.aDst[r].Value)
 		}
 	}
-	if m.f32Mode.Load() {
-		ip.f32 = m.buildWeights32(ip)
-	}
 	return ip
 }
 
@@ -130,38 +81,4 @@ func projectAttention(w, a *tensor.Matrix) []float64 {
 		out[i] = tensor.Dot(w.Row(i), a.Data)
 	}
 	return out
-}
-
-// buildWeights32 converts the parameter set (and the already-derived
-// float64 projections) to float32.
-func (m *Model) buildWeights32(ip *inferModel) *weights32 {
-	w := &weights32{
-		kindTab: tensor.Convert32(m.kindEmb.Table.Value),
-		subTab:  tensor.Convert32(m.subEmb.Table.Value),
-		featVec: tensor.Convert32Slice(m.featVec.Value.Data),
-		fc1W:    tensor.Convert32(m.fc1.W.Value),
-		fc1B:    tensor.Convert32(m.fc1.B.Value),
-		fc2W:    tensor.Convert32(m.fc2.W.Value),
-		fc2B:    tensor.Convert32(m.fc2.B.Value),
-		featW:   tensor.Convert32(m.featFC.W.Value),
-		featB:   tensor.Convert32(m.featFC.B.Value),
-		outW:    tensor.Convert32(m.out.W.Value),
-		outB:    tensor.Convert32(m.out.B.Value),
-	}
-	for li, l := range m.layers {
-		w.noWeights = l.noWeights
-		l32 := layer32{
-			self:  tensor.Convert32(l.self.Value),
-			bias:  tensor.Convert32(l.bias.Value),
-			alpha: float32(l.alpha),
-		}
-		for r := range l.w {
-			l32.w = append(l32.w, tensor.Convert32(l.w[r].Value))
-			l32.pSrc = append(l32.pSrc, tensor.Convert32Slice(ip.layers[li].pSrc[r]))
-			l32.pDst = append(l32.pDst, tensor.Convert32Slice(ip.layers[li].pDst[r]))
-			l32.wCoef = append(l32.wCoef, float32(l.wCoef[r].Value.Data[0]))
-		}
-		w.layers = append(w.layers, l32)
-	}
-	return w
 }

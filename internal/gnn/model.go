@@ -167,11 +167,9 @@ type Model struct {
 	wsPool sync.Pool
 
 	// Derived inference weights (see inferparams.go): precomputed attention
-	// projections and, when f32Mode is set, the converted float32 weight
-	// set. Rebuilt lazily after any invalidation.
+	// projections, rebuilt lazily after any invalidation.
 	inferMu sync.Mutex
 	inferP  atomic.Pointer[inferModel]
-	f32Mode atomic.Bool
 }
 
 // NewModel constructs the model with seeded initialization.
@@ -245,9 +243,8 @@ func (m *Model) Forward(f *nn.Forward, s *Sample) *autodiff.Var {
 // Predict returns the scaled prediction for a sample. It routes through the
 // inference engine (infer.go): a pooled, allocation-free forward pass whose
 // result matches the tape path (PredictTape) to a tight relative tolerance
-// (≤1e-9 in the default float64 mode, ≤1e-4 with float32 inference weights;
-// see the equivalence tests). The engine's kernels reassociate sums —
-// tiled matmuls, precomputed attention projections — so agreement is
+// (≤1e-9; see the equivalence tests). The engine's kernels reassociate
+// sums — tiled matmuls, precomputed attention projections — so agreement is
 // relaxed-equivalent rather than bit-exact.
 func (m *Model) Predict(s *Sample) float64 {
 	ws := m.acquireWS()

@@ -262,23 +262,12 @@ type Options struct {
 	// entries beyond it are evicted (and transparently reloaded from disk
 	// on next use). <= 0 defaults to 8.
 	MaxLoaded int
-
-	// Float64Inference opts loaded models out of the float32
-	// inference-weights fast path. By default every model the registry
-	// loads serves predictions through weights converted to float32 at
-	// load time (checkpoints on disk stay float64, and the checksum is
-	// verified against the float64 values before conversion) — agreement
-	// with the float64 reference is within 1e-4 relative error, the
-	// engine's gated tolerance. Set this when exact float64 serving
-	// arithmetic is required.
-	Float64Inference bool
 }
 
 // Registry serves the checkpoints under one root directory.
 type Registry struct {
 	root      string
 	maxLoaded int
-	f64       bool
 
 	mu       sync.Mutex
 	entries  map[string]*Entry // platform + "\x00" + name
@@ -327,7 +316,6 @@ func Open(root string, opts Options) (*Registry, error) {
 	r := &Registry{
 		root:      root,
 		maxLoaded: opts.MaxLoaded,
-		f64:       opts.Float64Inference,
 		entries:   map[string]*Entry{},
 		byPlat:    map[string][]*Entry{},
 		defaults:  map[string]*Entry{},
@@ -562,9 +550,7 @@ func (e *Entry) acquire() (*gnn.Model, error) {
 
 // loadModel reads and verifies the weights file against the manifest, then
 // builds the model's derived inference weights (precomputed attention
-// projections and — unless the registry was opened with Float64Inference —
-// the converted float32 weight set) so the first request served pays no
-// one-time conversion cost.
+// projections) so the first request served pays no one-time build cost.
 func (e *Entry) loadModel() (*gnn.Model, error) {
 	f, err := os.Open(filepath.Join(e.Dir, weightsFile))
 	if err != nil {
@@ -579,7 +565,6 @@ func (e *Entry) loadModel() (*gnn.Model, error) {
 		return nil, fmt.Errorf("registry: %s: weights checksum mismatch (manifest %.12s…, file %.12s…)",
 			e.Dir, e.Manifest.Checksum, m.Checksum())
 	}
-	m.SetFloat32Inference(!e.reg.f64)
 	m.PrecomputeInference()
 	return m, nil
 }

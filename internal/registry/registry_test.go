@@ -96,10 +96,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 
 	// Predictions through the round-tripped entry are bit-identical to the
-	// same weights served the same way (registry entries default to the
-	// float32 inference path, so the reference model must too).
+	// original model's.
 	s := testSample(t)
-	model.SetFloat32Inference(true)
 	want := model.PredictBatch([]*gnn.Sample{s})[0]
 	got := e.PredictBatch([]*gnn.Sample{s})[0]
 	if got != want {
@@ -107,17 +105,13 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFloat64InferenceOptOut pins the Options escape hatch: a registry
-// opened with Float64Inference serves bit-identical predictions to a plain
-// float64 model, while the default (float32) registry agrees only within
-// the engine's gated tolerance.
-func TestFloat64InferenceOptOut(t *testing.T) {
+// TestRegistryMatchesPlainModel pins that the registry serves exactly the
+// checkpoint's model: a registry-served prediction is bit-identical to
+// LoadCheckpoint + Predict on the same checkpoint directory.
+func TestRegistryMatchesPlainModel(t *testing.T) {
 	root := t.TempDir()
-	model := saveTest(t, root, hw.V100(), "default", 7)
-	s := testSample(t)
-	want := model.PredictBatch([]*gnn.Sample{s})[0]
-
-	reg, err := Open(root, Options{Float64Inference: true})
+	saveTest(t, root, hw.V100(), "default", 7)
+	reg, err := Open(root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +119,22 @@ func TestFloat64InferenceOptOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.PredictBatch([]*gnn.Sample{s})[0]; got != want {
-		t.Errorf("float64 registry prediction %v != model %v", got, want)
-	}
-
-	reg32, err := Open(root, Options{})
+	plain, _, err := LoadCheckpoint(e.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e32, err := reg32.Lookup(hw.V100().Name, "")
-	if err != nil {
-		t.Fatal(err)
+	base := testSample(t)
+	var batch []*gnn.Sample
+	for _, feats := range [][2]float64{{0, 0}, {0.25, 0.5}, {1, 1}} {
+		s := *base
+		s.Feats = feats
+		batch = append(batch, &s)
 	}
-	got := e32.PredictBatch([]*gnn.Sample{s})[0]
-	if rel := math.Abs(got-want) / math.Max(1, math.Abs(want)); rel > 1e-4 {
-		t.Errorf("float32 registry prediction %v vs float64 %v (rel err %v)", got, want, rel)
+	got := e.PredictBatch(batch)
+	for i, s := range batch {
+		if want := plain.Predict(s); got[i] != want {
+			t.Errorf("sample %d: registry prediction %v != LoadCheckpoint+Predict %v", i, got[i], want)
+		}
 	}
 }
 
@@ -299,9 +294,6 @@ func TestEvictionAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testSample(t)
-	// Entries serve the float32 inference path; match it on the references.
-	ma.SetFloat32Inference(true)
-	mb.SetFloat32Inference(true)
 	wantA := ma.PredictBatch([]*gnn.Sample{s})[0]
 	wantB := mb.PredictBatch([]*gnn.Sample{s})[0]
 

@@ -28,10 +28,9 @@ import (
 // LoadCheckpoint reads one checkpoint directory into a resident model,
 // verifying config, weights, and checksum — the standalone counterpart of a
 // Registry entry load, for callers (retrain, candidate adoption) that want
-// the model itself rather than a lazily-loaded serving entry. When f32 is
-// true the model also precomputes the float32 inference weights used by the
-// serving default.
-func LoadCheckpoint(dir string, f32 bool) (*gnn.Model, Checkpoint, error) {
+// the model itself rather than a lazily-loaded serving entry. The model's
+// derived inference weights are precomputed, so it is ready to serve.
+func LoadCheckpoint(dir string) (*gnn.Model, Checkpoint, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, Checkpoint{}, fmt.Errorf("registry: %w", err)
@@ -53,10 +52,7 @@ func LoadCheckpoint(dir string, f32 bool) (*gnn.Model, Checkpoint, error) {
 	if man.Checksum != "" && m.Checksum() != man.Checksum {
 		return nil, Checkpoint{}, fmt.Errorf("registry: %s: weights checksum mismatch", dir)
 	}
-	if f32 {
-		m.SetFloat32Inference(true)
-		m.PrecomputeInference()
-	}
+	m.PrecomputeInference()
 	return m, cp, nil
 }
 
@@ -177,7 +173,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	}
 	res.Stable = stable.Manifest.Name
 
-	model, cp, err := LoadCheckpoint(stable.Dir, false)
+	model, cp, err := LoadCheckpoint(stable.Dir)
 	if err != nil {
 		return res, err
 	}
@@ -254,7 +250,7 @@ func RetrainFromFeedback(root, platform string, recs []feedback.Record, opts Ret
 	cman := man
 	cman.Name = name
 	res.Candidate = Checkpoint{Dir: dir}
-	if _, cp, err := LoadCheckpoint(dir, false); err == nil {
+	if _, cp, err := LoadCheckpoint(dir); err == nil {
 		res.Candidate = cp
 	} else {
 		res.Candidate.Manifest = cman

@@ -42,7 +42,7 @@ func TestLoadCheckpoint(t *testing.T) {
 	orig := saveTest(t, root, hw.V100(), "v1", 7)
 	dir := ckptDir(root, hw.V100(), "v1")
 
-	m, cp, err := LoadCheckpoint(dir, false)
+	m, cp, err := LoadCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,9 @@ func TestLoadCheckpoint(t *testing.T) {
 	if m.Checksum() != orig.Checksum() {
 		t.Fatal("loaded weights differ from saved")
 	}
-	if _, _, err := LoadCheckpoint(dir, true); err != nil {
-		t.Fatalf("f32 load: %v", err)
-	}
-
 	// Checksum drift must fail the load.
 	rewriteManifest(t, dir, func(man *Manifest) { man.Checksum = strings.Repeat("0", 64) })
-	if _, _, err := LoadCheckpoint(dir, false); err == nil {
+	if _, _, err := LoadCheckpoint(dir); err == nil {
 		t.Fatal("checksum drift not detected")
 	}
 }
@@ -85,7 +81,7 @@ func TestRetrainFromFeedback(t *testing.T) {
 		t.Fatalf("candidate manifest = %+v", cand)
 	}
 	// The candidate reuses the stable's scalers verbatim (never refit).
-	_, scp, err := LoadCheckpoint(ckptDir(root, hw.V100(), "v1"), false)
+	_, scp, err := LoadCheckpoint(ckptDir(root, hw.V100(), "v1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestRetrainFromFeedback(t *testing.T) {
 
 	// Fine-tuning moved the weights; the saved candidate is loadable and
 	// differs from the stable.
-	m, _, err := LoadCheckpoint(res.Candidate.Dir, false)
+	m, _, err := LoadCheckpoint(res.Candidate.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,11 +621,11 @@ func (lc *lifecycle) runRetrain(platform string) error {
 		return err
 	}
 
-	// Adopt the candidate: load it resident (float32 inference, like the
-	// serving default) and register it before flipping the rollout pointer,
-	// so routing never names a version that is not yet servable. Metric
-	// registration happens outside lc.mu (lock-ordering contract above).
-	model, cp, err := registry.LoadCheckpoint(res.Candidate.Dir, true)
+	// Adopt the candidate: load it resident and register it before flipping
+	// the rollout pointer, so routing never names a version that is not yet
+	// servable. Metric registration happens outside lc.mu (lock-ordering
+	// contract above).
+	model, cp, err := registry.LoadCheckpoint(res.Candidate.Dir)
 	if err != nil {
 		return err
 	}

@@ -48,14 +48,14 @@ func saveLCCheckpoint(t *testing.T, root, name string, seed int64) {
 	}
 }
 
-// registryBackends loads saved checkpoints back resident (float32 inference,
-// like cmd/serve does) as serving backends; the first name is the default.
+// registryBackends loads saved checkpoints back resident as serving
+// backends; the first name is the default.
 func registryBackends(t *testing.T, root string, names ...string) []Backend {
 	t.Helper()
 	var bs []Backend
 	for i, name := range names {
 		dir := filepath.Join(root, registry.PlatformSlug(hw.V100().Name), name)
-		model, cp, err := registry.LoadCheckpoint(dir, true)
+		model, cp, err := registry.LoadCheckpoint(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

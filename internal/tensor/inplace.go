@@ -53,18 +53,6 @@ func MatMulInto(a, b, dst *Matrix) {
 	matMulTiled(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
 }
 
-// MatMulSparseInto is MatMulInto through the skip-zero row kernel: a zero
-// element of a skips its whole b-row pass, so the cost scales with a's
-// non-zero count. Worth it for operands whose rows are zero-heavy —
-// post-ReLU activations, typically — where skipped inner loops beat the
-// tiled kernel's register blocking; the inference engine dispatches between
-// the two on measured density.
-func MatMulSparseInto(a, b, dst *Matrix) {
-	shapeCheck(a.Cols == b.Rows, "MatMulSparseInto %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	dst.reshape(a.Rows, b.Cols)
-	matMulSparseRows(a.Data, a.Rows, a.Cols, b.Data, b.Cols, dst.Data)
-}
-
 // AddInto computes dst = a + b. dst may alias a or b.
 func AddInto(a, b, dst *Matrix) {
 	shapeCheck(a.SameShape(b), "AddInto %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
