@@ -74,7 +74,7 @@
 //	POST /v1/cluster/gossip peer-internal heartbeat view exchange
 //	POST /v1/cluster/leave  drain this peer's keys to their new owners
 //	GET  /v1/cluster/keys   peer-internal cache key list (anti-entropy)
-//	GET  /v1/cluster/entry  peer-internal single-entry fetch (?key=K)
+//	GET  /v1/cluster/entry  peer-internal entry fetch (?key=K, repeatable to 128)
 //
 // Overload behaviour (docs/OPERATIONS.md, "Overload & Admission Control"):
 // requests beyond the pool queue per client under deficit-round-robin
@@ -137,7 +137,6 @@ type serveConfig struct {
 	pprofAddr     string        // "" = no pprof listener
 	logger        *slog.Logger  // process-wide structured logger
 	cluster       bool          // cluster mode: drain membership on shutdown
-	drainTimeout  time.Duration // bound on the departure drain
 }
 
 func run(args []string, w io.Writer) error {
@@ -219,12 +218,9 @@ func run(args []string, w io.Writer) error {
 	// drain tombstones this peer in the gossip view and streams its owned
 	// cache entries to the new owners, so the tier loses no warmth when
 	// this process exits. Idempotent — an operator who already POSTed
-	// /v1/cluster/leave gets a no-op here.
+	// /v1/cluster/leave gets a no-op here. -drain-timeout bounds it.
 	if cfg.cluster {
-		drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		report := srv.DrainCluster(drainCtx)
-		cancel()
-		if !report.AlreadyDraining {
+		if report := srv.DrainCluster(context.Background()); !report.AlreadyDraining {
 			logger.Info("cluster drain complete",
 				"owned", report.OwnedKeys, "streamed", report.Streamed,
 				"batches", report.Batches, "errors", report.Errors,
@@ -432,10 +428,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 			return nil, serveConfig{}, err
 		}
 		cfg.cluster = true
-		cfg.drainTimeout = *drainTimeout
-		if cfg.drainTimeout <= 0 {
-			cfg.drainTimeout = 30 * time.Second
-		}
 		ring := srv.Ring()
 		rf := 1
 		if ring.Replication != nil {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"paragraph/internal/advisor"
 	"paragraph/internal/obs"
 	"paragraph/internal/shard"
 )
@@ -58,17 +57,12 @@ type ClusterConfig struct {
 	VNodes int
 	// ForwardTimeout bounds one proxied request (<= 0 = shard default).
 	ForwardTimeout time.Duration
-	// MaxPeerConns caps connections per peer (<= 0 = shard default).
-	MaxPeerConns int
 	// Replication is how many ring successors own each key (the tier's
 	// RF). 1 — or 0, the zero value — keeps the original single-owner
 	// behavior with no replication traffic at all; values above the
 	// current ring size are clamped to it at use time. Every peer must use
 	// the same value.
 	Replication int
-	// ReplicationQueue bounds the async write-through queue; posts beyond
-	// it are dropped, never blocked on (<= 0 = shard default).
-	ReplicationQueue int
 	// Heartbeat is the gossip interval (0 = 1s default; < 0 disables the
 	// background gossip/join/anti-entropy loops entirely — tests drive the
 	// state machine by hand).
@@ -88,9 +82,6 @@ type ClusterConfig struct {
 	// DrainTimeout bounds a planned departure's key handoff
 	// (0 = 30s default).
 	DrainTimeout time.Duration
-	// RefillConcurrency caps concurrent anti-entropy entry fetches
-	// (0 = 4) so a refill never starves the serving path.
-	RefillConcurrency int
 }
 
 // cluster is the Server's live cluster state. The ring is no longer a
@@ -103,11 +94,10 @@ type cluster struct {
 	fwd  *shard.Forwarder
 	rf   int // configured replication factor, >= 1; clamped per-use by Owners
 
-	seeds         []string
-	heartbeat     time.Duration
-	antiEntropy   time.Duration
-	drainTimeout  time.Duration
-	refillWorkers int
+	seeds        []string
+	heartbeat    time.Duration
+	antiEntropy  time.Duration
+	drainTimeout time.Duration
 
 	quit     chan struct{}
 	bg       sync.WaitGroup
@@ -196,58 +186,29 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if cfg.Replication < 0 {
 		return fmt.Errorf("serve: replication factor %d must be >= 1", cfg.Replication)
 	}
-	rf := cfg.Replication
-	if rf < 1 {
-		rf = 1
-	}
-	heartbeat := cfg.Heartbeat
-	loops := heartbeat >= 0
-	if heartbeat <= 0 {
-		// Negative disables the loops but keeps a sane interval for the
-		// per-exchange timeouts of hand-driven rounds (tests).
-		heartbeat = time.Second
-	}
-	suspectAfter := cfg.SuspectAfter
-	if suspectAfter <= 0 {
-		suspectAfter = 3 * heartbeat
-	}
-	evictAfter := cfg.EvictAfter
-	if evictAfter <= 0 {
-		evictAfter = 10 * heartbeat
-	}
+	// A negative heartbeat disables the loops but keeps a sane interval
+	// for the per-exchange timeouts of hand-driven rounds (tests).
+	heartbeat := positiveOr(cfg.Heartbeat, time.Second)
 	antiEntropy := cfg.AntiEntropy
 	if antiEntropy == 0 {
 		antiEntropy = 30 * time.Second
 	}
-	drainTimeout := cfg.DrainTimeout
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
-	}
-	refill := cfg.RefillConcurrency
-	if refill <= 0 {
-		refill = 4
-	}
 	c := &cluster{
-		self:          self,
-		rf:            rf,
-		seeds:         seeds,
-		heartbeat:     heartbeat,
-		antiEntropy:   antiEntropy,
-		drainTimeout:  drainTimeout,
-		refillWorkers: refill,
-		quit:          make(chan struct{}),
-		fwd: shard.NewForwarder(self, shard.ForwardOptions{
-			Timeout:         cfg.ForwardTimeout,
-			MaxConnsPerPeer: cfg.MaxPeerConns,
-			AsyncQueue:      cfg.ReplicationQueue,
-		}),
+		self:         self,
+		rf:           max(cfg.Replication, 1),
+		seeds:        seeds,
+		heartbeat:    heartbeat,
+		antiEntropy:  antiEntropy,
+		drainTimeout: positiveOr(cfg.DrainTimeout, 30*time.Second),
+		quit:         make(chan struct{}),
+		fwd:          shard.NewForwarder(self, shard.ForwardOptions{Timeout: cfg.ForwardTimeout}),
 	}
 	mem, err := shard.NewMembership(shard.MembershipConfig{
 		Self:         self,
 		Peers:        members,
 		VNodes:       cfg.VNodes,
-		SuspectAfter: suspectAfter,
-		EvictAfter:   evictAfter,
+		SuspectAfter: positiveOr(cfg.SuspectAfter, 3*heartbeat),
+		EvictAfter:   positiveOr(cfg.EvictAfter, 10*heartbeat),
 		// Every ring swap prunes the forwarder's peer clients down to the
 		// new member set, closing departed peers' idle connections — the
 		// membership-shrink counterpart of the lazily created clients.
@@ -268,10 +229,18 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	c.joined.Store(len(seeds) == 0)
 	s.cluster = c
 	s.metrics.registerCluster(c)
-	if loops {
+	if cfg.Heartbeat >= 0 {
 		s.startClusterLoops()
 	}
 	return nil
+}
+
+// positiveOr returns d when it is positive and def otherwise.
+func positiveOr(d, def time.Duration) time.Duration {
+	if d > 0 {
+		return d
+	}
+	return def
 }
 
 // noteForwarded counts an incoming peer-forwarded request. Called at
@@ -394,9 +363,10 @@ func (s *Server) tryForward(ctx context.Context, tr *obs.Trace, targets []string
 }
 
 // replicate writes a freshly evaluated cache entry through to the key's
-// other owners, fire-and-forget: each write rides the forwarder's bounded
-// async queue (dropped under backpressure, never blocking the request that
-// produced the entry) and the receiving peer's /v1/replicate handler only
+// other owners, fire-and-forget: the codec renders it as a one-entry
+// replicate body, each write rides the forwarder's bounded async queue
+// (dropped under backpressure, never blocking the request that produced
+// the entry) and the receiving peer's /v1/replicate handler only
 // inserts into its local cache — it never forwards or re-replicates, so
 // replication traffic cannot cycle. owners and owned come from route for
 // the same request (one ring walk serves both routing and write-through);
@@ -409,15 +379,15 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 	if c == nil || c.rf < 2 || !owned || len(owners) == 0 {
 		return
 	}
-	body, err := marshalReplicate(key, val)
-	if err != nil {
+	bodies, _ := marshalBatches([]CacheItem{{Key: key, Val: val}})
+	if len(bodies) == 0 {
 		return
 	}
 	for _, o := range owners {
 		if o == c.self {
 			continue
 		}
-		if c.fwd.ForwardAsync(o, "/v1/replicate", body, traceID) {
+		if c.fwd.ForwardAsync(o, "/v1/replicate", bodies[0], traceID) {
 			c.repWrites.Add(1)
 		} else {
 			c.repDrops.Add(1)
@@ -431,12 +401,12 @@ func (s *Server) replicate(key string, val any, owners []string, owned bool, tra
 // the handler buffer arbitrary payloads.
 const maxReplicateBytes = 4 << 20
 
-// handleReplicate accepts a write-through from a peer that just evaluated
-// a key this process replicates. The body is the cache-snapshot schema
-// (snapshot.go) holding one entry; it is inserted into the local
-// advise-response cache and nothing else happens — no forwarding, no
-// re-replication, no evaluation — which is the loop guard that keeps
-// replication traffic acyclic by construction.
+// handleReplicate accepts cache entries from a peer: a write-through of a
+// key this process replicates, or a batch of a departing peer's drain. The
+// body is the cache-snapshot schema (snapshot.go); its entries are
+// inserted into the local advise-response cache and nothing else happens
+// — no forwarding, no re-replication, no evaluation — which is the loop
+// guard that keeps replication traffic acyclic by construction.
 //
 // The sender must identify itself as a known member via the forwarded-by
 // header (the forwarder's async path sets it). This is trust-model
@@ -468,21 +438,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	c.replicatedIn.Add(uint64(n))
 	s.writeJSON(w, http.StatusOK, map[string]int{"accepted": n})
-}
-
-// marshalReplicate renders one cache entry in the snapshot schema, the
-// wire format of POST /v1/replicate.
-func marshalReplicate(key string, val any) ([]byte, error) {
-	snap := cacheSnapshot{Version: snapshotVersion}
-	switch v := val.(type) {
-	case []advisor.Recommendation:
-		snap.Advise = []adviseSnap{adviseSnapOf(key, v)}
-	case float64:
-		snap.Predict = []predictSnap{{Key: key, US: v}}
-	default:
-		return nil, fmt.Errorf("serve: unreplicatable cache value %T", val)
-	}
-	return json.Marshal(snap)
 }
 
 // writeProxied relays a peer's response verbatim.

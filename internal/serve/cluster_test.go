@@ -544,10 +544,7 @@ func TestReplicateEndpoint(t *testing.T) {
 	// immediately servable.
 	req := bindN(40000)
 	key := adviseKeyFor(t, req)
-	body, err := marshalReplicate(key, []advisor.Recommendation{{Threads: 8, PredictedUS: 123}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := replicateBody(t, key, []advisor.Recommendation{{Threads: 8, PredictedUS: 123}})
 	rec := doRaw(t, a.srv, http.MethodPost, "/v1/replicate", body, peers[1].http.URL)
 	var accepted struct {
 		Accepted int `json:"accepted"`
@@ -579,6 +576,16 @@ func TestReplicateEndpoint(t *testing.T) {
 	if rec := doRaw(t, a.srv, http.MethodGet, "/v1/replicate", nil, peers[1].http.URL); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/replicate: %d", rec.Code)
 	}
+}
+
+// replicateBody renders one cache entry as a /v1/replicate body.
+func replicateBody(t *testing.T, key string, val any) []byte {
+	t.Helper()
+	bodies, _ := marshalBatches([]CacheItem{{Key: key, Val: val}})
+	if len(bodies) != 1 {
+		t.Fatalf("entry %q encoded to %d bodies, want 1", key, len(bodies))
+	}
+	return bodies[0]
 }
 
 // TestWrongTypedCacheEntryIsAMiss: a cache entry whose value type does not

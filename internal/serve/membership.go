@@ -3,15 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"paragraph/internal/advisor"
 	"paragraph/internal/obs"
 	"paragraph/internal/shard"
 )
@@ -27,6 +26,11 @@ import (
 // wire surface: join and gossip carry membership views, leave triggers a
 // planned-departure drain, and keys/entry serve the anti-entropy pulls
 // (entry doubles as the request path's read-repair source).
+//
+// Cache entries move between peers on two primitives over one codec
+// (snapshot.go): pushEntries POSTs batches to /v1/replicate (drain; the
+// write-through is its fire-and-forget one-entry sibling), and pullEntries
+// GETs batches from /v1/cluster/entry (anti-entropy and read repair).
 
 // maxGossipBytes bounds one gossip or join body; views are a few hundred
 // bytes per member.
@@ -34,26 +38,37 @@ const maxGossipBytes = 1 << 20
 
 // handleCluster routes the /v1/cluster/* surface. Every endpoint requires
 // cluster mode; the sub-routes are dispatched here rather than registered
-// individually so non-cluster servers keep a single 409 surface.
+// individually so non-cluster servers keep a single 409 surface, and each
+// route's method is checked here once.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		s.fail(w, http.StatusConflict, "cluster endpoints require cluster mode")
 		return
 	}
+	var (
+		method string
+		handle http.HandlerFunc
+	)
 	switch strings.TrimPrefix(r.URL.Path, "/v1/cluster/") {
 	case "join":
-		s.handleClusterJoin(w, r)
+		method, handle = http.MethodPost, s.handleClusterJoin
 	case "gossip":
-		s.handleClusterGossip(w, r)
+		method, handle = http.MethodPost, s.handleClusterGossip
 	case "leave":
-		s.handleClusterLeave(w, r)
+		method, handle = http.MethodPost, s.handleClusterLeave
 	case "keys":
-		s.handleClusterKeys(w, r)
+		method, handle = http.MethodGet, s.handleClusterKeys
 	case "entry":
-		s.handleClusterEntry(w, r)
+		method, handle = http.MethodGet, s.handleClusterEntry
 	default:
 		s.fail(w, http.StatusNotFound, "unknown cluster endpoint")
+		return
 	}
+	if r.Method != method {
+		s.fail(w, http.StatusMethodNotAllowed, "%s required", method)
+		return
+	}
+	handle(w, r)
 }
 
 // joinRequest is the POST /v1/cluster/join body.
@@ -68,10 +83,6 @@ type joinRequest struct {
 // cluster's full record set in one round trip. Any member can admit —
 // "seed" is a role the joiner picks, not a special node.
 func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req joinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGossipBytes)).Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad join body: %v", err)
@@ -86,18 +97,13 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	if peer != c.self {
 		c.joinsIn.Add(1)
 	}
-	view := c.mem.Join(peer)
-	s.writeJSON(w, http.StatusOK, view)
+	s.writeJSON(w, http.StatusOK, c.mem.Join(peer))
 }
 
 // handleClusterGossip answers one heartbeat exchange: merge the sender's
 // view, note the contact as proof of life, and reply with the local view
 // so the exchange converges both directions (push-pull).
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var view shard.View
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGossipBytes)).Decode(&view); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad gossip body: %v", err)
@@ -120,14 +126,7 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 // is the operator's next step, or SIGTERM's, which runs the same drain
 // and finds it already done.
 func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cluster.drainTimeout)
-	defer cancel()
-	report := s.DrainCluster(ctx)
-	s.writeJSON(w, http.StatusOK, report)
+	s.writeJSON(w, http.StatusOK, s.DrainCluster(r.Context()))
 }
 
 // clusterKeysResponse is the GET /v1/cluster/keys payload: the local
@@ -142,10 +141,6 @@ type clusterKeysResponse struct {
 // what a sweeping peer diffs against Ring.Owners to find entries it
 // should hold.
 func (s *Server) handleClusterKeys(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	items := s.adviseCache.Items()
 	resp := clusterKeysResponse{Epoch: s.cluster.mem.Epoch(), Keys: make([]string, 0, len(items))}
 	for _, it := range items {
@@ -154,32 +149,37 @@ func (s *Server) handleClusterKeys(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleClusterEntry serves one cache entry (?key=K) in the replicate wire
-// schema, feeding anti-entropy refills and read repairs. It reads through
-// Peek so peer probes distort neither recency nor the hit/miss counters,
-// and 404s on a miss — the puller tries the next holder.
+// handleClusterEntry serves the cache entries named by repeated ?key=
+// parameters (at most maxBatchEntries) in the replicate wire schema,
+// feeding anti-entropy refills and read repairs. The response holds the
+// subset this peer has, capped at one replicate batch (marshalBatches);
+// keys a capped response left out go to their next holder, or to the
+// next sweep. It reads through Peek so peer probes distort neither
+// recency nor the hit/miss counters, and 404s when it holds none of the
+// keys — the puller tries the next holder.
 func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
+	keys := r.URL.Query()["key"]
+	if len(keys) == 0 || slices.Contains(keys, "") {
 		s.fail(w, http.StatusBadRequest, "key required")
 		return
 	}
-	v, ok := s.adviseCache.Peek(key)
-	if !ok {
+	if len(keys) > maxBatchEntries {
+		s.fail(w, http.StatusBadRequest, "at most %d keys per request", maxBatchEntries)
+		return
+	}
+	var found []CacheItem
+	for _, key := range keys {
+		if v, ok := s.adviseCache.Peek(key); ok {
+			found = append(found, CacheItem{Key: key, Val: v})
+		}
+	}
+	bodies, _ := marshalBatches(found)
+	if len(bodies) == 0 {
 		s.fail(w, http.StatusNotFound, "no entry for key")
 		return
 	}
-	body, err := marshalReplicate(key, v)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, "entry not servable: %v", err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+	_, _ = w.Write(bodies[0])
 }
 
 // --- background loops ---
@@ -193,10 +193,10 @@ func (s *Server) startClusterLoops() {
 		go s.joinLoop()
 	}
 	c.bg.Add(1)
-	go s.gossipLoop()
+	go c.every(c.heartbeat, s.gossipOnce)
 	if c.antiEntropy > 0 {
 		c.bg.Add(1)
-		go s.antiEntropyLoop()
+		go c.every(c.antiEntropy, s.antiEntropyOnce)
 	}
 }
 
@@ -216,10 +216,7 @@ func (s *Server) joinLoop() {
 	defer c.bg.Done()
 	ticker := time.NewTicker(c.heartbeat)
 	defer ticker.Stop()
-	for {
-		if s.tryJoin() {
-			return
-		}
+	for !s.tryJoin() {
 		select {
 		case <-c.quit:
 			return
@@ -237,14 +234,10 @@ func (s *Server) tryJoin() bool {
 	}
 	for _, seed := range c.seeds {
 		ctx, cancel := context.WithTimeout(context.Background(), c.heartbeat)
-		status, resp, err := c.fwd.Control(ctx, http.MethodPost, seed, "/v1/cluster/join", body)
-		cancel()
-		if err != nil || status/100 != 2 {
-			c.gossipErrs.Add(1)
-			continue
-		}
 		var view shard.View
-		if err := json.Unmarshal(resp, &view); err != nil {
+		err := c.fwd.Control(ctx, http.MethodPost, seed, "/v1/cluster/join", body, maxGossipBytes, &view)
+		cancel()
+		if err != nil {
 			c.gossipErrs.Add(1)
 			continue
 		}
@@ -255,27 +248,43 @@ func (s *Server) tryJoin() bool {
 	return false
 }
 
-// gossipLoop is the heartbeat: every interval it sweeps the failure
-// detector and pushes the local view to every other ring member, merging
-// each answer back (push-pull, so one exchange converges both sides).
-func (s *Server) gossipLoop() {
-	c := s.cluster
+// every runs fn each interval until the cluster stops: the heartbeat and
+// the anti-entropy loops.
+func (c *cluster) every(interval time.Duration, fn func(context.Context)) {
 	defer c.bg.Done()
-	ticker := time.NewTicker(c.heartbeat)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-c.quit:
 			return
 		case <-ticker.C:
-			s.gossipOnce(context.Background())
+			fn(context.Background())
 		}
 	}
 }
 
-// gossipOnce runs one heartbeat round: sweep, beat, exchange with every
-// other ring member concurrently. Each exchange is bounded by the
-// heartbeat interval so a hung peer cannot stall the round past one tick.
+// fanOut runs fn concurrently for every peer but self and waits for all.
+func (c *cluster) fanOut(peers []string, fn func(peer string)) {
+	var wg sync.WaitGroup
+	for _, peer := range peers {
+		if peer == c.self {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(peer)
+		}()
+	}
+	wg.Wait()
+}
+
+// gossipOnce runs one heartbeat round: sweep the failure detector, beat,
+// and push the local view to every other ring member concurrently,
+// merging each answer back (push-pull, so one exchange converges both
+// sides). Each exchange is bounded by the heartbeat interval so a hung
+// peer cannot stall the round past one tick.
 func (s *Server) gossipOnce(ctx context.Context) {
 	c := s.cluster
 	c.mem.Sweep()
@@ -288,153 +297,113 @@ func (s *Server) gossipOnce(ctx context.Context) {
 	if err != nil {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, peer := range ring.Members() {
-		if peer == c.self {
-			continue
-		}
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat)
-			defer cancel()
-			status, resp, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body)
-			if err != nil || status/100 != 2 {
-				c.gossipErrs.Add(1)
-				return
-			}
-			var remote shard.View
-			if err := json.Unmarshal(resp, &remote); err != nil {
-				c.gossipErrs.Add(1)
-				return
-			}
-			c.mem.Observe(peer)
-			c.mem.Merge(remote)
-			c.gossipOut.Add(1)
-		}(peer)
-	}
-	wg.Wait()
-}
-
-// antiEntropyLoop periodically runs the self-healing sweep.
-func (s *Server) antiEntropyLoop() {
-	c := s.cluster
-	defer c.bg.Done()
-	ticker := time.NewTicker(c.antiEntropy)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.quit:
+	c.fanOut(ring.Members(), func(peer string) {
+		hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat)
+		defer cancel()
+		var remote shard.View
+		if err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", body, maxGossipBytes, &remote); err != nil {
+			c.gossipErrs.Add(1)
 			return
-		case <-ticker.C:
-			s.antiEntropyOnce(context.Background())
 		}
-	}
+		c.mem.Observe(peer)
+		c.mem.Merge(remote)
+		c.gossipOut.Add(1)
+	})
 }
 
 // antiEntropyOnce is one self-healing sweep: fetch every other ring
 // member's key list, keep the keys this peer owns (Ring.Owners) but does
-// not hold, and pull the missing entries with bounded concurrency. This is
-// how a rejoined or freshly added peer converges to full replica warmth
-// without client traffic — the cache-tier analogue of loading exactly the
-// missing shard slices in parallel instead of recomputing them. The sweep
-// runs entirely off the request path: fetches are capped at
-// RefillConcurrency and every pull is a cheap cache-to-cache copy.
+// not hold, and pull the missing entries in batches. This is how a
+// rejoined or freshly added peer converges to full replica warmth without
+// client traffic — the cache-tier analogue of loading exactly the missing
+// slices of a graph in large batched reads instead of recomputing them.
+// The pulls run in rounds: each round asks every missing key's next
+// untried holder, one goroutine per holder (so at most one pull in
+// flight per ring member) and one request per maxBatchEntries chunk; a
+// key a holder did not return moves on to its next holder.
 func (s *Server) antiEntropyOnce(ctx context.Context) {
 	c := s.cluster
 	ring := c.ring()
 	if ring == nil || len(ring.Members()) < 2 || c.mem.Left() {
 		return
 	}
-	local := map[string]bool{}
-	for _, it := range s.adviseCache.Items() {
-		local[it.Key] = true
-	}
-	// missing maps each absent owned key to the peers advertising it.
+	// missing maps each absent owned key to the peers advertising it that
+	// have not been asked yet, in ring member order.
 	missing := map[string][]string{}
 	for _, peer := range ring.Members() {
 		if peer == c.self {
 			continue
 		}
 		hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
-		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer, "/v1/cluster/keys", nil)
-		cancel()
-		if err != nil || status/100 != 2 {
-			c.aeErrs.Add(1)
-			continue
-		}
 		var resp clusterKeysResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
+		err := c.fwd.Control(hopCtx, http.MethodGet, peer, "/v1/cluster/keys", nil, 0, &resp)
+		cancel()
+		if err != nil {
 			c.aeErrs.Add(1)
 			continue
 		}
 		for _, key := range resp.Keys {
-			if local[key] {
-				continue
+			if _, held := s.adviseCache.Peek(key); !held && slices.Contains(ring.Owners(key, c.rf), c.self) {
+				missing[key] = append(missing[key], peer)
 			}
-			if !ownersContain(ring.Owners(key, c.rf), c.self) {
-				continue
-			}
-			missing[key] = append(missing[key], peer)
 		}
 	}
-	if len(missing) > 0 {
-		keys := make([]string, 0, len(missing))
-		for k := range missing {
-			keys = append(keys, k)
+	for len(missing) > 0 {
+		byHolder := map[string][]string{}
+		for key, holders := range missing {
+			byHolder[holders[0]] = append(byHolder[holders[0]], key)
 		}
-		sort.Strings(keys)
-		sem := make(chan struct{}, c.refillWorkers)
-		var wg sync.WaitGroup
-		for _, key := range keys {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(key string, holders []string) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if s.pullEntry(ctx, key, holders) {
-					c.aeRefills.Add(1)
-				} else {
-					c.aeErrs.Add(1)
-				}
-			}(key, missing[key])
+		c.fanOut(ring.Members(), func(holder string) {
+			keys := byHolder[holder]
+			sort.Strings(keys)
+			for len(keys) > 0 {
+				chunk := keys[:min(maxBatchEntries, len(keys))]
+				keys = keys[len(chunk):]
+				c.aeRefills.Add(uint64(len(s.pullEntries(ctx, c.heartbeat+5*time.Second, holder, chunk))))
+			}
+		})
+		for key, holders := range missing {
+			_, pulled := s.adviseCache.Peek(key)
+			switch {
+			case pulled:
+				delete(missing, key)
+			case len(holders) == 1:
+				c.aeErrs.Add(1) // no holder returned it
+				delete(missing, key)
+			default:
+				missing[key] = holders[1:]
+			}
 		}
-		wg.Wait()
 	}
 	c.aeSweeps.Add(1)
 	c.lastSweepUnix.Store(time.Now().Unix())
 }
 
-// pullEntry fetches one cache entry from the first holder that still has
-// it and inserts it locally.
-func (s *Server) pullEntry(ctx context.Context, key string, holders []string) bool {
-	c := s.cluster
-	for _, peer := range holders {
-		hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
-		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer,
-			"/v1/cluster/entry?key="+url.QueryEscape(key), nil)
-		cancel()
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		gotKey, val, err := unmarshalReplicateEntry(body)
-		if err != nil || gotKey != key {
-			continue
-		}
-		s.adviseCache.Add(key, val)
-		return true
+// pullEntries is the one pull primitive: a single GET /v1/cluster/entry,
+// bounded by timeout, asking peer for keys (at most maxBatchEntries). The
+// entries it returns for keys that were asked for are inserted into the
+// local cache and returned; a 404 (the peer holds none of them) or any
+// failure returns none.
+func (s *Server) pullEntries(ctx context.Context, timeout time.Duration, peer string, keys []string) []CacheItem {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var snap cacheSnapshot
+	path := "/v1/cluster/entry?" + url.Values{"key": keys}.Encode()
+	if err := s.cluster.fwd.Control(ctx, http.MethodGet, peer, path, nil, maxReplicateBytes, &snap); err != nil {
+		return nil
 	}
-	return false
-}
-
-// ownersContain reports whether owners includes name.
-func ownersContain(owners []string, name string) bool {
-	for _, o := range owners {
-		if o == name {
-			return true
+	items, err := decodeEntries(snap)
+	if err != nil {
+		return nil
+	}
+	pulled := items[:0]
+	for _, it := range items {
+		if slices.Contains(keys, it.Key) {
+			s.adviseCache.Add(it.Key, it.Val)
+			pulled = append(pulled, it)
 		}
 	}
-	return false
+	return pulled
 }
 
 // --- read repair ---
@@ -458,63 +427,20 @@ func (s *Server) tryRepair(ctx context.Context, tr *obs.Trace, key string, owner
 		return nil, false
 	}
 	sp := tr.StartSpan("read_repair")
+	defer sp.End()
 	for _, peer := range owners {
 		if peer == c.self {
 			continue
 		}
-		hopCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		status, body, err := c.fwd.Control(hopCtx, http.MethodGet, peer,
-			"/v1/cluster/entry?key="+url.QueryEscape(key), nil)
-		cancel()
-		if err != nil || status != http.StatusOK {
-			continue
+		if items := s.pullEntries(ctx, 2*time.Second, peer, []string{key}); len(items) > 0 {
+			c.readRepairs.Add(1)
+			sp.Annotate(peer)
+			return items[0].Val, true
 		}
-		gotKey, val, err := unmarshalReplicateEntry(body)
-		if err != nil || gotKey != key {
-			continue
-		}
-		s.adviseCache.Add(key, val)
-		c.readRepairs.Add(1)
-		sp.Annotate(peer)
-		sp.End()
-		return val, true
 	}
 	c.repairMisses.Add(1)
 	sp.Annotate("miss")
-	sp.End()
 	return nil, false
-}
-
-// unmarshalReplicateEntry decodes a single-entry replicate body (the
-// /v1/cluster/entry response) into its key and typed value.
-func unmarshalReplicateEntry(body []byte) (string, any, error) {
-	var snap cacheSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return "", nil, fmt.Errorf("serve: decoding entry: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return "", nil, fmt.Errorf("serve: unsupported entry version %d", snap.Version)
-	}
-	switch {
-	case len(snap.Advise) == 1 && len(snap.Predict) == 0:
-		as := snap.Advise[0]
-		recs := make([]advisor.Recommendation, len(as.Recs))
-		for i, rs := range as.Recs {
-			kind, err := kindByName(rs.Kind)
-			if err != nil {
-				return "", nil, err
-			}
-			recs[i] = advisor.Recommendation{
-				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
-				PredictedUS: rs.PredictedUS, Source: rs.Source,
-			}
-		}
-		return as.Key, recs, nil
-	case len(snap.Predict) == 1 && len(snap.Advise) == 0:
-		return snap.Predict[0].Key, snap.Predict[0].US, nil
-	default:
-		return "", nil, fmt.Errorf("serve: entry body must hold exactly one entry")
-	}
 }
 
 // --- planned departure ---
@@ -539,24 +465,16 @@ type DrainReport struct {
 	ElapsedMS float64  `json:"elapsed_ms"`
 }
 
-// drainBatchLimit caps entries per handoff POST; drainBatchBytes caps the
-// marshaled payload well under maxReplicateBytes so a receiver never
-// rejects a batch for size.
-const (
-	drainBatchLimit = 128
-	drainBatchBytes = 1 << 20
-)
-
 // DrainCluster executes this peer's planned departure: tombstone self in
 // the membership view, push the new view to every old ring member
 // synchronously (so the tier re-rings before the handoff lands), then
-// stream every owned cache entry to its new owners over the /v1/replicate
-// wire schema in bounded batches. Idempotent — the second caller (POST
-// /v1/cluster/leave followed by SIGTERM is the normal pair) gets
+// push every owned cache entry to its new owners, all within
+// ClusterConfig.DrainTimeout (and ctx). Idempotent — the second caller
+// (POST /v1/cluster/leave followed by SIGTERM is the normal pair) gets
 // AlreadyDraining and no work. Outside cluster mode it reports an empty
 // drain. The process keeps serving afterwards, local-only; exiting is the
 // caller's decision.
-func (s *Server) DrainCluster(ctx context.Context) DrainReport {
+func (s *Server) DrainCluster(ctx context.Context) (report DrainReport) {
 	c := s.cluster
 	if c == nil {
 		return DrainReport{}
@@ -564,12 +482,14 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	if !c.draining.CompareAndSwap(false, true) {
 		return DrainReport{AlreadyDraining: true, Epoch: c.mem.Epoch()}
 	}
+	ctx, cancel := context.WithTimeout(ctx, c.drainTimeout)
+	defer cancel()
 	start := time.Now()
 	oldRing := c.ring()
 	c.mem.Leave(c.self)
-	report := DrainReport{Epoch: c.mem.Epoch()}
+	report = DrainReport{Epoch: c.mem.Epoch()}
+	defer func() { report.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000 }()
 	if oldRing == nil {
-		report.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 		return report
 	}
 
@@ -577,30 +497,19 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	// the writes anyway (the tombstone keeps us a known member), and
 	// announcing early stops them forwarding fresh misses to a peer that
 	// is about to vanish.
-	view, err := json.Marshal(c.mem.View())
-	if err == nil {
-		var wg sync.WaitGroup
-		for _, peer := range oldRing.Members() {
-			if peer == c.self {
-				continue
+	if view, err := json.Marshal(c.mem.View()); err == nil {
+		c.fanOut(oldRing.Members(), func(peer string) {
+			hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
+			defer cancel()
+			if err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", view, maxGossipBytes, nil); err != nil {
+				c.gossipErrs.Add(1)
 			}
-			wg.Add(1)
-			go func(peer string) {
-				defer wg.Done()
-				hopCtx, cancel := context.WithTimeout(ctx, c.heartbeat+5*time.Second)
-				defer cancel()
-				if _, _, err := c.fwd.Control(hopCtx, http.MethodPost, peer, "/v1/cluster/gossip", view); err != nil {
-					c.gossipErrs.Add(1)
-				}
-			}(peer)
-		}
-		wg.Wait()
+		})
 	}
 
 	newRing := c.ring()
 	if newRing == nil {
 		// Single-member cluster: nowhere to hand keys to.
-		report.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 		return report
 	}
 
@@ -610,7 +519,7 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 	// restores full replica fan-out in one pass.
 	perTarget := map[string][]CacheItem{}
 	for _, it := range s.adviseCache.Items() {
-		if !ownersContain(oldRing.Owners(it.Key, c.rf), c.self) {
+		if !slices.Contains(oldRing.Owners(it.Key, c.rf), c.self) {
 			continue
 		}
 		report.OwnedKeys++
@@ -627,73 +536,33 @@ func (s *Server) DrainCluster(ctx context.Context) DrainReport {
 
 	streamed := map[string]bool{}
 	for _, target := range targets {
-		s.drainTo(ctx, target, perTarget[target], &report, streamed)
+		delivered, batches, failed := s.pushEntries(ctx, target, perTarget[target])
+		report.Batches += batches
+		report.Errors += failed
+		for _, k := range delivered {
+			streamed[k] = true
+		}
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	report.Streamed = len(streamed)
 	c.drainedOut.Add(uint64(report.Streamed))
-	report.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return report
 }
 
-// drainTo streams one target's entries in bounded batches over the
-// replicate wire schema, marking delivered keys in streamed.
-func (s *Server) drainTo(ctx context.Context, target string, items []CacheItem, report *DrainReport, streamed map[string]bool) {
-	c := s.cluster
-	var (
-		snap  cacheSnapshot
-		keys  []string
-		bytes int
-	)
-	flush := func() {
-		if len(keys) == 0 {
-			return
-		}
-		snap.Version = snapshotVersion
-		body, err := json.Marshal(snap)
-		if err == nil {
-			status, _, ferr := c.fwd.Forward(ctx, target, "/v1/replicate", body, shard.Meta{})
-			if ferr == nil && status/100 == 2 {
-				for _, k := range keys {
-					streamed[k] = true
-				}
-			} else {
-				report.Errors++
-			}
-			report.Batches++
-		}
-		snap = cacheSnapshot{}
-		keys = keys[:0]
-		bytes = 0
-	}
-	for _, it := range items {
-		if ctx.Err() != nil {
-			break
-		}
-		var size int
-		switch v := it.Val.(type) {
-		case []advisor.Recommendation:
-			as := adviseSnapOf(it.Key, v)
-			b, err := json.Marshal(as)
-			if err != nil {
-				continue
-			}
-			size = len(b)
-			snap.Advise = append(snap.Advise, as)
-		case float64:
-			ps := predictSnap{Key: it.Key, US: v}
-			size = len(it.Key) + 32
-			snap.Predict = append(snap.Predict, ps)
-		default:
+// pushEntries is the one push primitive: it POSTs items to peer's
+// /v1/replicate in marshalBatches batches over the control plane, so a
+// handoff never counts as a request forward. It returns the keys the peer
+// accepted, how many batches it posted and how many of those failed.
+func (s *Server) pushEntries(ctx context.Context, peer string, items []CacheItem) (delivered []string, batches, failed int) {
+	bodies, keys := marshalBatches(items)
+	for i, body := range bodies {
+		if err := s.cluster.fwd.Control(ctx, http.MethodPost, peer, "/v1/replicate", body, maxGossipBytes, nil); err != nil {
+			failed++
 			continue
 		}
-		keys = append(keys, it.Key)
-		bytes += size
-		if len(keys) >= drainBatchLimit || bytes >= drainBatchBytes {
-			flush()
-		}
+		delivered = append(delivered, keys[i]...)
 	}
-	flush()
+	return delivered, len(bodies), failed
 }

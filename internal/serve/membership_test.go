@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +29,22 @@ type elasticPeer struct {
 	srv *Server
 	hs  *httptest.Server
 	url string
+	// entryGets counts the GET /v1/cluster/entry requests the peer served.
+	entryGets atomic.Uint64
+}
+
+// listen starts serving p.srv on ln, counting entry pulls on the way in.
+// Call it after EnableCluster: handlers read the cluster state unlocked.
+func (p *elasticPeer) listen(t *testing.T, ln net.Listener) {
+	h := p.srv.Handler()
+	p.hs = &httptest.Server{Listener: ln, Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/cluster/entry" {
+			p.entryGets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	})}}
+	p.hs.Start()
+	t.Cleanup(p.hs.Close)
 }
 
 // kill fully stops the peer: listener first (no new requests), then the
@@ -61,18 +81,16 @@ func listenOn(t *testing.T, addr string) net.Listener {
 func bootElasticPeer(t *testing.T, addr string, cfg ClusterConfig) *elasticPeer {
 	t.Helper()
 	ln := listenOn(t, addr)
-	s := newTestServer(t)
-	hs := &httptest.Server{Listener: ln, Config: &http.Server{Handler: s.Handler()}}
-	hs.Start()
-	t.Cleanup(hs.Close)
-	cfg.Self = "http://" + ln.Addr().String()
+	p := &elasticPeer{srv: newTestServer(t), url: "http://" + ln.Addr().String()}
+	cfg.Self = p.url
 	if cfg.Heartbeat == 0 {
 		cfg.Heartbeat = elasticHeartbeat
 	}
-	if err := s.EnableCluster(cfg); err != nil {
+	if err := p.srv.EnableCluster(cfg); err != nil {
 		t.Fatal(err)
 	}
-	return &elasticPeer{srv: s, hs: hs, url: cfg.Self}
+	p.listen(t, ln)
+	return p
 }
 
 // startElasticCluster boots n statically bootstrapped peers (each knows
@@ -87,10 +105,7 @@ func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticP
 	}
 	peers := make([]*elasticPeer, n)
 	for i := range peers {
-		s := newTestServer(t)
-		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: s.Handler()}}
-		hs.Start()
-		t.Cleanup(hs.Close)
+		peers[i] = &elasticPeer{srv: newTestServer(t), url: urls[i]}
 		c := cfg
 		c.Self = urls[i]
 		c.Peers = urls
@@ -98,10 +113,10 @@ func startElasticCluster(t *testing.T, n, rf int, cfg ClusterConfig) []*elasticP
 		if c.Heartbeat == 0 {
 			c.Heartbeat = elasticHeartbeat
 		}
-		if err := s.EnableCluster(c); err != nil {
+		if err := peers[i].srv.EnableCluster(c); err != nil {
 			t.Fatal(err)
 		}
-		peers[i] = &elasticPeer{srv: s, hs: hs, url: urls[i]}
+		peers[i].listen(t, lns[i])
 	}
 	return peers
 }
@@ -212,7 +227,9 @@ func TestClusterGossipRejectsGarbage(t *testing.T) {
 }
 
 // TestClusterKeysAndEntryEndpoints: the anti-entropy wire surface serves
-// the local key list and single entries in the replicate snapshot schema.
+// the local key list, and entries in the replicate snapshot schema: the
+// subset held of up to maxBatchEntries repeated keys, a 404 when none is held,
+// and for a single key the same one-entry body the endpoint always served.
 func TestClusterKeysAndEntryEndpoints(t *testing.T) {
 	peers := startElasticCluster(t, 1, 1, ClusterConfig{Heartbeat: -1})
 	p := peers[0]
@@ -235,18 +252,46 @@ func TestClusterKeysAndEntryEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("entry: %d", rec.Code)
 	}
-	gotKey, val, err := unmarshalReplicateEntry(rec.Body.Bytes())
-	if err != nil || gotKey != key {
-		t.Fatalf("entry decode: key=%q err=%v", gotKey, err)
+	val, _ := p.srv.adviseCache.Peek(key)
+	want, err := json.Marshal(encodeEntries([]CacheItem{{Key: key, Val: val}}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := val.([]advisor.Recommendation); !ok {
-		t.Fatalf("entry value type %T, want recommendations", val)
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("single-key entry body = %s, want %s", rec.Body.Bytes(), want)
 	}
-	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key=deadbeef", nil, ""); rec.Code != http.StatusNotFound {
-		t.Errorf("missing entry: %d, want 404", rec.Code)
+	items, err := decodeBody(rec.Body.Bytes())
+	if err != nil || len(items) != 1 || items[0].Key != key {
+		t.Fatalf("entry decode: %+v err=%v", items, err)
+	}
+	if _, ok := items[0].Val.([]advisor.Recommendation); !ok {
+		t.Fatalf("entry value type %T, want recommendations", items[0].Val)
+	}
+
+	req2 := bindN(43)
+	postAdvise(t, p.url, req2)
+	key2 := adviseKeyFor(t, req2)
+	rec = doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key="+key+"&key=deadbeef&key="+key2, nil, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("multi-key entry: %d", rec.Code)
+	}
+	items, err = decodeBody(rec.Body.Bytes())
+	if err != nil || len(items) != 2 {
+		t.Fatalf("multi-key entry decode: %d items, err=%v; want the 2 held", len(items), err)
+	}
+	if got := map[string]bool{items[0].Key: true, items[1].Key: true}; !got[key] || !got[key2] {
+		t.Errorf("multi-key entry keys = %v, want %s and %s", got, key, key2)
+	}
+
+	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry?key=deadbeef&key=feedface", nil, ""); rec.Code != http.StatusNotFound {
+		t.Errorf("no held entry: %d, want 404", rec.Code)
 	}
 	if rec := doRaw(t, p.srv, http.MethodGet, "/v1/cluster/entry", nil, ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("entry without key: %d, want 400", rec.Code)
+	}
+	tooMany := "/v1/cluster/entry?key=" + key + strings.Repeat("&key="+key, maxBatchEntries)
+	if rec := doRaw(t, p.srv, http.MethodGet, tooMany, nil, ""); rec.Code != http.StatusBadRequest {
+		t.Errorf("%d keys: %d, want 400", maxBatchEntries+1, rec.Code)
 	}
 }
 
@@ -272,6 +317,15 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 	if aOwned == 0 {
 		t.Fatal("no key owned by peer A in 8 probes")
 	}
+	forwardsToB := func() uint64 {
+		for _, ps := range a.srv.cluster.fwd.Stats() {
+			if ps.Peer == b.url {
+				return ps.Forwards
+			}
+		}
+		return 0
+	}
+	forwardsBefore := forwardsToB()
 
 	var report DrainReport
 	if rec := do(t, a.srv, http.MethodPost, "/v1/cluster/leave", nil, &report); rec.Code != http.StatusOK {
@@ -279,6 +333,11 @@ func TestClusterLeaveDrainsToNewOwners(t *testing.T) {
 	}
 	if report.OwnedKeys != aOwned || report.Streamed != aOwned || report.Errors != 0 {
 		t.Fatalf("drain report %+v, want owned=streamed=%d with no errors", report, aOwned)
+	}
+	// The handoff is control-plane traffic: it must not count as request
+	// forwards on the leaver's per-peer stats.
+	if got := forwardsToB(); got != forwardsBefore {
+		t.Errorf("leaver's forwards to the survivor = %d after the drain, want %d", got, forwardsBefore)
 	}
 
 	// The survivor re-ringed on the drain's synchronous announce...
@@ -352,10 +411,7 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	planted := []advisor.Recommendation{{Kind: kind, Teams: 64, Threads: 128, PredictedUS: 123.5}}
-	body, err := marshalReplicate(key, planted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := replicateBody(t, key, planted)
 	if rec := doRaw(t, b.srv, http.MethodPost, "/v1/replicate", body, a.url); rec.Code != http.StatusOK {
 		t.Fatalf("planting entry on B: %d", rec.Code)
 	}
@@ -382,20 +438,30 @@ func TestClusterReadRepairServesOwnedMiss(t *testing.T) {
 // TestClusterAntiEntropyWarmsJoinedPeer is the self-healing acceptance
 // test: a fresh peer joins a warm RF=2 tier and reaches full replica
 // warmth — every owned key resident locally — through the anti-entropy
-// sweep alone, no client traffic to it.
+// sweep alone, no client traffic to it, pulling in batches rather than
+// one request per key.
 func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 	cfg := ClusterConfig{AntiEntropy: 150 * time.Millisecond}
 	peers := startElasticCluster(t, 3, 2, cfg)
 
+	const warmed = 24
 	var keys []string
-	for i := 0; i < 10; i++ {
+	for i := 0; i < warmed; i++ {
 		req := bindN(float64(100000 + 16*i))
 		keys = append(keys, adviseKeyFor(t, req))
 		postAdvise(t, peers[0].url, req)
 	}
 	waitCond(t, 10*time.Second, "write-through replication", func() bool {
-		return totalReplicatedIn(peers) >= 10
+		return totalReplicatedIn(peers) >= warmed
 	})
+	gets := func() []uint64 {
+		out := make([]uint64, len(peers))
+		for i, p := range peers {
+			out[i] = p.entryGets.Load()
+		}
+		return out
+	}
+	getsBefore := gets()
 
 	joiner := bootElasticPeer(t, "", ClusterConfig{
 		Seeds:       []string{peers[0].url},
@@ -430,8 +496,24 @@ func TestClusterAntiEntropyWarmsJoinedPeer(t *testing.T) {
 		}
 		return true
 	})
-	if got := joiner.srv.cluster.aeRefills.Load(); got < uint64(len(owned)) {
-		t.Errorf("anti-entropy refills = %d, want >= %d", got, len(owned))
+	// The sweep counts its refills and then itself after the last insert
+	// lands, so wait for those records rather than race them.
+	waitCond(t, 10*time.Second, "the refilling sweep to be recorded", func() bool {
+		return joiner.srv.cluster.aeRefills.Load() >= uint64(len(owned)) && joiner.srv.cluster.aeSweeps.Load() > 0
+	})
+	// Each holder served its share of the refill in ⌈share/maxBatchEntries⌉
+	// pulls — here one — not one pull per key.
+	perHolder := uint64((len(owned) + maxBatchEntries - 1) / maxBatchEntries)
+	var total uint64
+	for i, n := range gets() {
+		d := n - getsBefore[i]
+		total += d
+		if d > perHolder {
+			t.Errorf("holder %s served %d entry pulls for %d owned keys, want at most %d", peers[i].url, d, len(owned), perHolder)
+		}
+	}
+	if total == 0 {
+		t.Error("the refill pulled from no holder")
 	}
 	view := joiner.srv.Ring()
 	if view.AntiEntropy == nil || view.AntiEntropy.Sweeps == 0 {

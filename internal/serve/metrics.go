@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"paragraph/internal/admit"
@@ -276,24 +277,30 @@ func (m *serveMetrics) registerLifecycle(lc *lifecycle) {
 // are discovered at scrape time (peers appear once traffic reaches them),
 // hence CollectFunc rather than fixed series.
 func (m *serveMetrics) registerCluster(c *cluster) {
-	m.reg.CounterFunc("serve_cluster_forwarded_in_total",
-		"Requests received already forwarded by a peer.", nil,
-		func() float64 { return float64(c.forwardedIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_local_fallbacks_total",
-		"Requests served locally because every owner was unreachable.", nil,
-		func() float64 { return float64(c.fallbacks.Load()) })
-	m.reg.CounterFunc("serve_cluster_replica_hits_total",
-		"Forwards answered by a replica after the primary owner failed.", nil,
-		func() float64 { return float64(c.replicaHits.Load()) })
-	m.reg.CounterFunc("serve_cluster_replication_writes_total",
-		"Cache entries enqueued for write-through to replicas.", nil,
-		func() float64 { return float64(c.repWrites.Load()) })
-	m.reg.CounterFunc("serve_cluster_replication_drops_total",
-		"Write-throughs dropped because the async queue was full.", nil,
-		func() float64 { return float64(c.repDrops.Load()) })
-	m.reg.CounterFunc("serve_cluster_replicated_in_total",
-		"Cache entries accepted via POST /v1/replicate.", nil,
-		func() float64 { return float64(c.replicatedIn.Load()) })
+	for _, ctr := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"serve_cluster_forwarded_in_total", "Requests received already forwarded by a peer.", &c.forwardedIn},
+		{"serve_cluster_local_fallbacks_total", "Requests served locally because every owner was unreachable.", &c.fallbacks},
+		{"serve_cluster_replica_hits_total", "Forwards answered by a replica after the primary owner failed.", &c.replicaHits},
+		{"serve_cluster_replication_writes_total", "Cache entries enqueued for write-through to replicas.", &c.repWrites},
+		{"serve_cluster_replication_drops_total", "Write-throughs dropped because the async queue was full.", &c.repDrops},
+		{"serve_cluster_replicated_in_total", "Cache entries accepted via POST /v1/replicate.", &c.replicatedIn},
+		{"serve_cluster_joins_total", "Join requests admitted by this peer.", &c.joinsIn},
+		{"serve_cluster_gossip_sent_total", "Gossip exchanges this peer initiated and completed.", &c.gossipOut},
+		{"serve_cluster_gossip_received_total", "Gossip exchanges answered.", &c.gossipIn},
+		{"serve_cluster_gossip_errors_total", "Failed gossip or join exchanges.", &c.gossipErrs},
+		{"serve_cluster_pruned_clients_total", "Idle peer HTTP clients closed after members left the ring.", &c.pruned},
+		{"serve_cluster_anti_entropy_sweeps_total", "Anti-entropy sweeps completed.", &c.aeSweeps},
+		{"serve_cluster_anti_entropy_refills_total", "Missing owned entries refilled from peer caches by anti-entropy.", &c.aeRefills},
+		{"serve_cluster_anti_entropy_errors_total", "Failed anti-entropy fetches.", &c.aeErrs},
+		{"serve_cluster_read_repairs_total", "Owned misses answered from a co-owner's cache on the request path.", &c.readRepairs},
+		{"serve_cluster_read_repair_misses_total", "Read-repair attempts where no co-owner held the entry.", &c.repairMisses},
+		{"serve_cluster_drained_out_total", "Cache entries streamed to new owners during planned departure.", &c.drainedOut},
+	} {
+		m.reg.CounterFunc(ctr.name, ctr.help, nil, func() float64 { return float64(ctr.v.Load()) })
+	}
 	m.reg.GaugeFunc("serve_cluster_replication_queue_depth",
 		"Write-throughs waiting in the async queue.", nil,
 		func() float64 { return float64(c.fwd.Async().Queued) })
@@ -312,8 +319,8 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 			}
 		})
 
-	// Elastic membership: the gossip/join/eviction surface and the
-	// self-healing (anti-entropy, read-repair, drain) counters.
+	// Elastic membership: ring version, size and the failure detector's
+	// verdicts.
 	m.reg.GaugeFunc("serve_cluster_epoch",
 		"Ring version; increments on every membership change.", nil,
 		func() float64 { return float64(c.mem.Epoch()) })
@@ -334,45 +341,12 @@ func (m *serveMetrics) registerCluster(c *cluster) {
 			}
 			return 0
 		})
-	m.reg.CounterFunc("serve_cluster_joins_total",
-		"Join requests admitted by this peer.", nil,
-		func() float64 { return float64(c.joinsIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_sent_total",
-		"Gossip exchanges this peer initiated and completed.", nil,
-		func() float64 { return float64(c.gossipOut.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_received_total",
-		"Gossip exchanges answered.", nil,
-		func() float64 { return float64(c.gossipIn.Load()) })
-	m.reg.CounterFunc("serve_cluster_gossip_errors_total",
-		"Failed gossip or join exchanges.", nil,
-		func() float64 { return float64(c.gossipErrs.Load()) })
 	m.reg.CounterFunc("serve_cluster_evictions_total",
 		"Members this peer declared dead after missed heartbeats.", nil,
 		func() float64 { return float64(c.mem.Counters().Evictions) })
 	m.reg.CounterFunc("serve_cluster_refutations_total",
 		"Times this peer refuted its own death or departure.", nil,
 		func() float64 { return float64(c.mem.Counters().Refutations) })
-	m.reg.CounterFunc("serve_cluster_pruned_clients_total",
-		"Idle peer HTTP clients closed after members left the ring.", nil,
-		func() float64 { return float64(c.pruned.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_sweeps_total",
-		"Anti-entropy sweeps completed.", nil,
-		func() float64 { return float64(c.aeSweeps.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_refills_total",
-		"Missing owned entries refilled from peer caches by anti-entropy.", nil,
-		func() float64 { return float64(c.aeRefills.Load()) })
-	m.reg.CounterFunc("serve_cluster_anti_entropy_errors_total",
-		"Failed anti-entropy fetches.", nil,
-		func() float64 { return float64(c.aeErrs.Load()) })
-	m.reg.CounterFunc("serve_cluster_read_repairs_total",
-		"Owned misses answered from a co-owner's cache on the request path.", nil,
-		func() float64 { return float64(c.readRepairs.Load()) })
-	m.reg.CounterFunc("serve_cluster_read_repair_misses_total",
-		"Read-repair attempts where no co-owner held the entry.", nil,
-		func() float64 { return float64(c.repairMisses.Load()) })
-	m.reg.CounterFunc("serve_cluster_drained_out_total",
-		"Cache entries streamed to new owners during planned departure.", nil,
-		func() float64 { return float64(c.drainedOut.Load()) })
 }
 
 // statusClass folds an HTTP status into its class label ("4xx", "5xx").

@@ -44,7 +44,7 @@ func testPrep() *dataset.Prepared {
 }
 
 // newTestServer serves a CPU and a GPU profile from oracle models.
-func newTestServer(t *testing.T) *Server {
+func newTestServer(t testing.TB) *Server {
 	t.Helper()
 	s, err := NewServer([]Backend{
 		{Machine: hw.Power9(), Model: oracleModel{}, Prep: testPrep()},
@@ -58,7 +58,7 @@ func newTestServer(t *testing.T) *Server {
 }
 
 // do posts (or gets) one request against the handler and decodes the reply.
-func do(t *testing.T, s *Server, method, path string, body any, out any) *httptest.ResponseRecorder {
+func do(t testing.TB, s *Server, method, path string, body any, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {

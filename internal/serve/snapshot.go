@@ -49,34 +49,122 @@ type cacheSnapshot struct {
 	Predict []predictSnap `json:"predict"`
 }
 
-// adviseSnapOf renders one cached ranking in the snapshot schema. Shared
-// by cache persistence and the /v1/replicate wire format (cluster.go),
-// which is the same schema carrying a single entry.
-func adviseSnapOf(key string, recs []advisor.Recommendation) adviseSnap {
-	as := adviseSnap{Key: key, Recs: make([]recSnap, len(recs))}
-	for i, r := range recs {
-		as.Recs[i] = recSnap{
-			Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
-			PredictedUS: r.PredictedUS, Source: r.Source,
+// encodeEntries is the one cache-entry encoder: it renders items in the
+// snapshot schema. Every path that moves entries — the snapshot file,
+// write-through, drain batches and pull responses — goes through it.
+// Values of any other type are skipped.
+func encodeEntries(items []CacheItem) cacheSnapshot {
+	snap := cacheSnapshot{Version: snapshotVersion}
+	for _, it := range items {
+		switch v := it.Val.(type) {
+		case []advisor.Recommendation:
+			as := adviseSnap{Key: it.Key, Recs: make([]recSnap, len(v))}
+			for i, r := range v {
+				as.Recs[i] = recSnap{
+					Kind: r.Kind.String(), Teams: r.Teams, Threads: r.Threads,
+					PredictedUS: r.PredictedUS, Source: r.Source,
+				}
+			}
+			snap.Advise = append(snap.Advise, as)
+		case float64:
+			snap.Predict = append(snap.Predict, predictSnap{Key: it.Key, US: v})
 		}
 	}
-	return as
+	return snap
+}
+
+// decodeEntries is the one decoder, the inverse of encodeEntries: it
+// returns the snapshot's entries in schema order, advise entries first.
+// An advise entry naming a variant this build does not know (written by a
+// newer build) is dropped, not an error, wherever it arrives from.
+func decodeEntries(snap cacheSnapshot) ([]CacheItem, error) {
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("serve: unsupported cache snapshot version %d", snap.Version)
+	}
+	var items []CacheItem
+advise:
+	for _, as := range snap.Advise {
+		recs := make([]advisor.Recommendation, len(as.Recs))
+		for i, rs := range as.Recs {
+			kind, err := kindByName(rs.Kind)
+			if err != nil {
+				continue advise
+			}
+			recs[i] = advisor.Recommendation{
+				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
+				PredictedUS: rs.PredictedUS, Source: rs.Source,
+			}
+		}
+		items = append(items, CacheItem{Key: as.Key, Val: recs})
+	}
+	for _, ps := range snap.Predict {
+		items = append(items, CacheItem{Key: ps.Key, Val: ps.US})
+	}
+	return items, nil
+}
+
+// Replicate bodies carry at most maxBatchEntries entries and, unless one
+// entry alone is larger, maxBatchBytes of entry JSON — well under
+// maxReplicateBytes, so a receiver never rejects a batch for size. A pull
+// asks for at most one batch of keys.
+const (
+	maxBatchEntries = 128
+	maxBatchBytes   = 1 << 20
+)
+
+// entryBatch is one replicate body in the making: the snapshot schema with
+// every entry already marshaled, so sizing a batch and sending it share
+// the same bytes.
+type entryBatch struct {
+	Version int               `json:"version"`
+	Advise  []json.RawMessage `json:"advise"`
+	Predict []json.RawMessage `json:"predict"`
+
+	keys []string
+	size int
+}
+
+// marshalBatches encodes items and splits them into replicate bodies under
+// the batch bounds, marshaling each entry once; keys[i] lists the entries
+// bodies[i] carries. An entry that does not marshal is skipped.
+func marshalBatches(items []CacheItem) (bodies [][]byte, keys [][]string) {
+	snap := encodeEntries(items)
+	b := entryBatch{Version: snapshotVersion}
+	flush := func() {
+		if len(b.keys) > 0 {
+			body, _ := json.Marshal(b) // cannot fail: every entry is valid JSON
+			bodies = append(bodies, body)
+			keys = append(keys, b.keys)
+		}
+		b = entryBatch{Version: snapshotVersion}
+	}
+	add := func(key string, entry any, section *[]json.RawMessage) {
+		raw, err := json.Marshal(entry)
+		if err != nil {
+			return
+		}
+		if len(b.keys) == maxBatchEntries || (len(b.keys) > 0 && b.size+len(raw) > maxBatchBytes) {
+			flush()
+		}
+		*section = append(*section, raw)
+		b.keys = append(b.keys, key)
+		b.size += len(raw)
+	}
+	for _, as := range snap.Advise {
+		add(as.Key, as, &b.Advise)
+	}
+	for _, ps := range snap.Predict {
+		add(ps.Key, ps, &b.Predict)
+	}
+	flush()
+	return bodies, keys
 }
 
 // SnapshotCache writes the advise-response cache to w. Concurrent requests
 // keep running; the snapshot is a consistent-enough point-in-time copy
 // (each shard is walked under its lock).
 func (s *Server) SnapshotCache(w io.Writer) error {
-	snap := cacheSnapshot{Version: snapshotVersion}
-	for _, item := range s.adviseCache.Items() {
-		switch v := item.Val.(type) {
-		case []advisor.Recommendation:
-			snap.Advise = append(snap.Advise, adviseSnapOf(item.Key, v))
-		case float64:
-			snap.Predict = append(snap.Predict, predictSnap{Key: item.Key, US: v})
-		}
-	}
-	return json.NewEncoder(w).Encode(snap)
+	return json.NewEncoder(w).Encode(encodeEntries(s.adviseCache.Items()))
 }
 
 // RestoreCache refills the advise-response cache from a SnapshotCache
@@ -89,36 +177,14 @@ func (s *Server) RestoreCache(r io.Reader) (int, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return 0, fmt.Errorf("serve: decoding cache snapshot: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return 0, fmt.Errorf("serve: unsupported cache snapshot version %d", snap.Version)
+	items, err := decodeEntries(snap)
+	if err != nil {
+		return 0, err
 	}
-	n := 0
-	for i := len(snap.Advise) - 1; i >= 0; i-- {
-		as := snap.Advise[i]
-		recs := make([]advisor.Recommendation, len(as.Recs))
-		ok := true
-		for j, rs := range as.Recs {
-			kind, err := kindByName(rs.Kind)
-			if err != nil {
-				ok = false // unknown variant from a future build: drop entry
-				break
-			}
-			recs[j] = advisor.Recommendation{
-				Kind: kind, Teams: rs.Teams, Threads: rs.Threads,
-				PredictedUS: rs.PredictedUS, Source: rs.Source,
-			}
-		}
-		if !ok {
-			continue
-		}
-		s.adviseCache.Add(as.Key, recs)
-		n++
+	for i := len(items) - 1; i >= 0; i-- {
+		s.adviseCache.Add(items[i].Key, items[i].Val)
 	}
-	for i := len(snap.Predict) - 1; i >= 0; i-- {
-		s.adviseCache.Add(snap.Predict[i].Key, snap.Predict[i].US)
-		n++
-	}
-	return n, nil
+	return len(items), nil
 }
 
 // SaveCacheFile snapshots the cache to path atomically (temp file in the

@@ -2,15 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // warmAndSnapshot runs one advise and one predict through a fresh server
 // and returns the snapshot plus the responses that produced it.
-func warmAndSnapshot(t *testing.T) (snap []byte, advise AdviseResponse, predict PredictResponse) {
+func warmAndSnapshot(t testing.TB) (snap []byte, advise AdviseResponse, predict PredictResponse) {
 	t.Helper()
 	s := newTestServer(t)
 	if rec := do(t, s, http.MethodPost, "/v1/advise", adviseReq("NVIDIA V100 (GPU)"), &advise); rec.Code != http.StatusOK {
@@ -108,16 +113,99 @@ func TestRestoreCacheRejectsGarbage(t *testing.T) {
 	}
 }
 
+// unknownVariantBody holds two entries: one naming a variant no build
+// knows, and a good one.
+const unknownVariantBody = `{"version":1,"advise":[{"key":"k1","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]},{"key":"k2","recs":[{"kind":"cpu","threads":8,"predicted_us":2}]}],"predict":null}`
+
+// TestRestoreCacheDropsUnknownVariants pins the one decoder's policy on
+// every path entries arrive by — snapshot stream, /v1/replicate body and
+// /v1/cluster/entry pull response: an entry naming an unknown variant is
+// dropped and the good entry beside it lands.
 func TestRestoreCacheDropsUnknownVariants(t *testing.T) {
-	s := newTestServer(t)
-	snap := `{"version":1,"advise":[{"key":"k1","recs":[{"kind":"warp_simd","threads":8,"predicted_us":1}]}],"predict":[{"key":"k2","us":5}]}`
-	n, err := s.RestoreCache(strings.NewReader(snap))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		deliver func(t *testing.T, peers []*elasticPeer) int
+	}{
+		{"snapshot stream", func(t *testing.T, peers []*elasticPeer) int {
+			n, err := peers[0].srv.RestoreCache(strings.NewReader(unknownVariantBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}},
+		{"replicate body", func(t *testing.T, peers []*elasticPeer) int {
+			rec := doRaw(t, peers[0].srv, http.MethodPost, "/v1/replicate", []byte(unknownVariantBody), peers[1].url)
+			var accepted struct {
+				Accepted int `json:"accepted"`
+			}
+			if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &accepted) != nil {
+				t.Fatalf("replicate: %d %s", rec.Code, rec.Body.String())
+			}
+			return accepted.Accepted
+		}},
+		{"pull response", func(t *testing.T, peers []*elasticPeer) int {
+			holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				_, _ = w.Write([]byte(unknownVariantBody))
+			}))
+			defer holder.Close()
+			return len(peers[0].srv.pullEntries(context.Background(), time.Second, holder.URL, []string{"k1", "k2"}))
+		}},
 	}
-	if n != 1 { // the predict entry survives; the alien advise entry is dropped
-		t.Errorf("restored %d entries, want 1", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := startElasticCluster(t, 2, 1, ClusterConfig{Heartbeat: -1})
+			if n := tc.deliver(t, peers); n != 1 {
+				t.Errorf("accepted %d entries, want 1", n)
+			}
+			cache := peers[0].srv.adviseCache
+			if _, ok := cache.Peek("k1"); ok {
+				t.Error("entry with an unknown variant landed")
+			}
+			if _, ok := cache.Peek("k2"); !ok {
+				t.Error("good entry beside the unknown one was dropped")
+			}
+		})
 	}
+}
+
+// decodeBody parses a snapshot-schema document the way a pull does and
+// runs the one decoder over it.
+func decodeBody(data []byte) ([]CacheItem, error) {
+	var snap cacheSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	return decodeEntries(snap)
+}
+
+// FuzzDecodeEntries feeds arbitrary bytes to the one cache-entry decoder:
+// it must never panic, and whatever it accepts must come back unchanged
+// through the replicate-batch encoder and the decoder again.
+func FuzzDecodeEntries(f *testing.F) {
+	snap, _, _ := warmAndSnapshot(f)
+	f.Add(snap)
+	f.Add([]byte("not json"))
+	f.Add([]byte(`{"version": 99}`))
+	f.Add([]byte(unknownVariantBody))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		items, err := decodeBody(data)
+		if err != nil {
+			return
+		}
+		bodies, _ := marshalBatches(items)
+		var again []CacheItem
+		for _, body := range bodies {
+			batch, err := decodeBody(body)
+			if err != nil {
+				t.Fatalf("re-decoding %s: %v", body, err)
+			}
+			again = append(again, batch...)
+		}
+		if !reflect.DeepEqual(again, items) {
+			t.Fatalf("round trip changed the entries:\n got %#v\nwant %#v", again, items)
+		}
+	})
 }
 
 // TestSnapshotItemsOrder sanity-checks the Items walk the snapshot is

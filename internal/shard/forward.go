@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,39 +25,26 @@ import (
 // fans them back out.
 const ForwardedByHeader = "X-Paragraph-Forwarded-By"
 
-// ForwardOptions tunes the peer-forwarding clients. Zero values pick
-// defaults.
+// ForwardOptions tunes the peer-forwarding clients.
 type ForwardOptions struct {
 	// Timeout bounds one forwarded request end to end (connect, send,
 	// owner's evaluation, response). Default 15s — an advise miss on the
 	// owner pays a full grid evaluation, which dwarfs the network hop.
 	Timeout time.Duration
-	// MaxConnsPerPeer caps concurrent connections to one peer; idle
-	// connections up to the cap are kept for reuse. Default 8.
-	MaxConnsPerPeer int
-	// AsyncQueue bounds the fire-and-forget post queue (ForwardAsync).
-	// When it is full new posts are dropped, never blocked on — async
-	// traffic is best-effort by contract. Default 256.
-	AsyncQueue int
-	// AsyncWorkers is how many goroutines drain the async queue. Default 2.
-	AsyncWorkers int
 }
 
-func (o ForwardOptions) withDefaults() ForwardOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 15 * time.Second
-	}
-	if o.MaxConnsPerPeer <= 0 {
-		o.MaxConnsPerPeer = 8
-	}
-	if o.AsyncQueue <= 0 {
-		o.AsyncQueue = 256
-	}
-	if o.AsyncWorkers <= 0 {
-		o.AsyncWorkers = 2
-	}
-	return o
-}
+// Fixed sizing of the peer clients and the async queue.
+const (
+	// maxConnsPerPeer caps concurrent connections to one peer; idle
+	// connections up to the cap are kept for reuse.
+	maxConnsPerPeer = 8
+	// asyncQueueLen bounds the fire-and-forget post queue (ForwardAsync).
+	// When it is full new posts are dropped, never blocked on — async
+	// traffic is best-effort by contract.
+	asyncQueueLen = 256
+	// asyncWorkers is how many goroutines drain the async queue.
+	asyncWorkers = 2
+)
 
 // peerClient is one peer's bounded HTTP client plus its traffic counters.
 type peerClient struct {
@@ -84,8 +72,8 @@ type asyncPost struct {
 // tier to write cache entries through to replica peers without adding
 // latency to the request that produced them.
 type Forwarder struct {
-	self string
-	opts ForwardOptions
+	self    string
+	timeout time.Duration
 
 	mu    sync.Mutex
 	peers map[string]*peerClient
@@ -102,13 +90,15 @@ type Forwarder struct {
 // NewForwarder returns a Forwarder that identifies itself as self (the
 // value written into ForwardedByHeader).
 func NewForwarder(self string, opts ForwardOptions) *Forwarder {
-	opts = opts.withDefaults()
+	if opts.Timeout <= 0 {
+		opts.Timeout = 15 * time.Second
+	}
 	return &Forwarder{
-		self:  self,
-		opts:  opts,
-		peers: map[string]*peerClient{},
-		queue: make(chan asyncPost, opts.AsyncQueue),
-		quit:  make(chan struct{}),
+		self:    self,
+		timeout: opts.Timeout,
+		peers:   map[string]*peerClient{},
+		queue:   make(chan asyncPost, asyncQueueLen),
+		quit:    make(chan struct{}),
 	}
 }
 
@@ -118,10 +108,10 @@ func (f *Forwarder) peer(name string) *peerClient {
 	pc, ok := f.peers[name]
 	if !ok {
 		pc = &peerClient{client: &http.Client{
-			Timeout: f.opts.Timeout,
+			Timeout: f.timeout,
 			Transport: &http.Transport{
-				MaxIdleConnsPerHost: f.opts.MaxConnsPerPeer,
-				MaxConnsPerHost:     f.opts.MaxConnsPerPeer,
+				MaxIdleConnsPerHost: maxConnsPerPeer,
+				MaxConnsPerHost:     maxConnsPerPeer,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		}}
@@ -144,17 +134,25 @@ type Meta struct {
 	Deadline time.Duration
 }
 
-// post performs one loop-guarded JSON POST to peer+path on the peer's
-// bounded client. Shared by the synchronous and async paths; counting is
-// the caller's job because the two paths have different counters. meta's
-// trace id and deadline ride along in their headers; ctx bounds the hop
-// in addition to the client's own timeout.
-func (f *Forwarder) post(ctx context.Context, pc *peerClient, peer, path string, body []byte, meta Meta) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: building forward to %s: %w", peer, err)
+// do performs one loop-guarded request to peer+path on pc, the peer's
+// bounded client. It is the single request path behind Forward,
+// ForwardAsync and Control; counting is the caller's job because each has
+// its own counters. A non-nil body is sent as JSON. meta's trace id and
+// deadline ride along in their headers; ctx bounds the hop in addition to
+// the client's own timeout. limit > 0 caps the response body: a longer
+// one is an error, and reading stops just past the cap.
+func (f *Forwarder) do(ctx context.Context, pc *peerClient, method, peer, path string, body []byte, meta Meta, limit int64) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req, err := http.NewRequestWithContext(ctx, method, peer+path, rd)
+	if err != nil {
+		return 0, nil, fmt.Errorf("shard: building request to %s: %w", peer, err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	req.Header.Set(ForwardedByHeader, f.self)
 	if meta.TraceID != "" {
 		req.Header.Set(obs.TraceHeader, meta.TraceID)
@@ -164,46 +162,43 @@ func (f *Forwarder) post(ctx context.Context, pc *peerClient, peer, path string,
 	}
 	resp, err := pc.client.Do(req)
 	if err != nil {
-		return 0, nil, fmt.Errorf("shard: forwarding to %s: %w", peer, err)
+		return 0, nil, fmt.Errorf("shard: request to %s: %w", peer, err)
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	src := io.Reader(resp.Body)
+	if limit > 0 {
+		src = http.MaxBytesReader(nil, resp.Body, limit)
+	}
+	out, err := io.ReadAll(src)
 	if err != nil {
-		return 0, nil, fmt.Errorf("shard: reading forward response from %s: %w", peer, err)
+		return 0, nil, fmt.Errorf("shard: reading response from %s: %w", peer, err)
 	}
 	return resp.StatusCode, out, nil
 }
 
 // Control performs one request to peer+path on the peer's bounded client
 // without touching the per-peer forwarding counters: membership gossip,
-// anti-entropy key exchange and read-repair fetches are control-plane
-// chatter that must not inflate the request-forwarding stats operators
-// read off /v1/ring. The loop-guard header still rides along as the
-// sender's identity (receivers gate peer-only endpoints on it). body may
-// be nil for GETs. The caller owns error counting.
-func (f *Forwarder) Control(ctx context.Context, method, peer, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, peer+path, rd)
+// cache-entry pushes and pulls are control-plane traffic that must not
+// inflate the request-forwarding stats operators read off /v1/ring. The
+// loop-guard header still rides along as the sender's identity (receivers
+// gate peer-only endpoints on it). body may be nil for GETs; limit > 0
+// caps the answer. A non-2xx answer is an error; a 2xx one is decoded as
+// JSON into out unless out is nil. The caller owns error counting.
+func (f *Forwarder) Control(ctx context.Context, method, peer, path string, body []byte, limit int64, out any) error {
+	status, resp, err := f.do(ctx, f.peer(peer), method, peer, path, body, Meta{}, limit)
 	if err != nil {
-		return 0, nil, fmt.Errorf("shard: building control request to %s: %w", peer, err)
+		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if status/100 != 2 {
+		return fmt.Errorf("shard: %s %s%s: status %d", method, peer, path, status)
 	}
-	req.Header.Set(ForwardedByHeader, f.self)
-	resp, err := f.peer(peer).client.Do(req)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: control request to %s: %w", peer, err)
+	if out == nil {
+		return nil
 	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("shard: reading control response from %s: %w", peer, err)
+	if err := json.Unmarshal(resp, out); err != nil {
+		return fmt.Errorf("shard: decoding %s%s answer: %w", peer, path, err)
 	}
-	return resp.StatusCode, out, nil
+	return nil
 }
 
 // Prune drops the clients of peers not in keep, closing their idle
@@ -247,7 +242,7 @@ func (f *Forwarder) Prune(keep []string) int {
 // originating request's trace id and remaining deadline budget.
 func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte, meta Meta) (int, []byte, error) {
 	pc := f.peer(peer)
-	status, out, err := f.post(ctx, pc, peer, path, body, meta)
+	status, out, err := f.do(ctx, pc, http.MethodPost, peer, path, body, meta, 0)
 	if err != nil {
 		pc.errors.Add(1)
 		return 0, nil, err
@@ -266,7 +261,7 @@ func (f *Forwarder) Forward(ctx context.Context, peer, path string, body []byte,
 // traceID ("" = untraced) propagates the originating request's trace.
 func (f *Forwarder) ForwardAsync(peer, path string, body []byte, traceID string) bool {
 	f.startOnce.Do(func() {
-		for i := 0; i < f.opts.AsyncWorkers; i++ {
+		for i := 0; i < asyncWorkers; i++ {
 			go f.drainAsync()
 		}
 	})
@@ -286,8 +281,7 @@ func (f *Forwarder) drainAsync() {
 		case <-f.quit:
 			return
 		case job := <-f.queue:
-			pc := f.peer(job.peer)
-			status, _, err := f.post(context.Background(), pc, job.peer, job.path, job.body, Meta{TraceID: job.traceID})
+			status, _, err := f.do(context.Background(), f.peer(job.peer), http.MethodPost, job.peer, job.path, job.body, Meta{TraceID: job.traceID}, 0)
 			if err != nil || status/100 != 2 {
 				f.asyncErrs.Add(1)
 			} else {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,12 +176,12 @@ func TestForwardAsyncDropsUnderBackpressure(t *testing.T) {
 	defer peer.Close()
 	defer close(release)
 
-	f := NewForwarder("http://self:1", ForwardOptions{AsyncQueue: 1, AsyncWorkers: 1})
+	f := NewForwarder("http://self:1", ForwardOptions{})
 	defer f.Close()
-	// First post occupies the worker; the queue (cap 1) fills behind it.
-	// Enqueueing is racy against the worker draining, so keep posting until
-	// a drop is recorded — with the worker wedged, at most two posts are
-	// absorbed (one in flight, one queued) before drops must appear.
+	// The first posts occupy the workers; the queue fills behind them.
+	// Enqueueing is racy against the workers draining, so keep posting
+	// until a drop is recorded — with the workers wedged, at most
+	// asyncWorkers+asyncQueueLen posts are absorbed before drops appear.
 	deadline := time.Now().Add(5 * time.Second)
 	for f.Async().Dropped == 0 {
 		if time.Now().After(deadline) {
@@ -211,5 +212,37 @@ func TestForwardErrorStatusIsNotAnError(t *testing.T) {
 	}
 	if st := f.Stats(); st[0].Forwards != 1 || st[0].Errors != 0 {
 		t.Errorf("stats = %+v; an answered forward must not count as an error", st)
+	}
+}
+
+// TestControlCapsAnswer: a control answer longer than the caller's limit
+// is an error, so a confused or hostile peer cannot make the caller
+// buffer it; non-2xx answers are errors too, and a 2xx one decodes.
+func TestControlCapsAnswer(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/big":
+			_, _ = w.Write([]byte(`{"pad":"` + strings.Repeat("x", 64) + `"}`))
+		case "/missing":
+			http.Error(w, `{"error":"no entry"}`, http.StatusNotFound)
+		default:
+			_, _ = w.Write([]byte(`{"pad":"ok"}`))
+		}
+	}))
+	defer peer.Close()
+
+	f := NewForwarder("http://self:1", ForwardOptions{})
+	var out struct{ Pad string }
+	if err := f.Control(context.Background(), http.MethodGet, peer.URL, "/big", nil, 32, &out); err == nil {
+		t.Error("answer over the limit accepted")
+	}
+	if err := f.Control(context.Background(), http.MethodGet, peer.URL, "/missing", nil, 32, &out); err == nil {
+		t.Error("404 answer reported as success")
+	}
+	if err := f.Control(context.Background(), http.MethodGet, peer.URL, "/small", nil, 32, &out); err != nil || out.Pad != "ok" {
+		t.Errorf("answer under the limit: pad=%q err=%v", out.Pad, err)
+	}
+	if st := f.Stats(); st[0].Forwards != 0 || st[0].Errors != 0 {
+		t.Errorf("control traffic counted as forwards: %+v", st)
 	}
 }
