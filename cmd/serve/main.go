@@ -293,7 +293,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 	adviseCache := fs.Int("advise-cache", 0, "advise/prediction cache entries (0 = default)")
 	encodeCache := fs.Int("encode-cache", 0, "encoded-graph cache entries (0 = default)")
 	maxBatch := fs.Int("batch", 0, "max samples per batched forward pass (0 = default)")
-	batchWait := fs.Duration("batch-wait", 0, "micro-batching window (0 = default)")
 	poolSize := fs.Int("pool", 0, "max evaluations in flight (0 = GOMAXPROCS)")
 	gridWorkers := fs.Int("grid-workers", 0, "per-advise grid fan-out (0 = GOMAXPROCS)")
 	admitQueue := fs.Int("admit-queue", 0, "admission queue depth beyond the pool before 503 shedding (0 = default)")
@@ -381,7 +380,6 @@ func buildServer(args []string, w io.Writer) (*serve.Server, serveConfig, error)
 		AdviseCacheSize: *adviseCache,
 		EncodeCacheSize: *encodeCache,
 		MaxBatch:        *maxBatch,
-		BatchWait:       *batchWait,
 		PoolSize:        *poolSize,
 		GridWorkers:     *gridWorkers,
 		QueueLimit:      *admitQueue,

@@ -75,10 +75,11 @@
 // them (keyed by hash of kernel source, level, threads, bindings and model
 // version). On a miss, identical concurrent requests are collapsed into a
 // single evaluation (singleflight), a bounded worker pool admits it, and
-// the advisor fans the variant grid across goroutines (internal/advisor).
-// Each variant's prediction finally lands on a per-model micro-batching
-// queue that coalesces concurrently-arriving samples into
-// gnn.Model.PredictBatch forward passes. Rankings are bit-identical to the
+// the advisor fans the variant grid's generate→encode work across
+// goroutines (internal/advisor). The encoded grid finally lands on a
+// per-model micro-batcher as one request; the batcher flushes when idle
+// and coalesces requests that queue behind a running evaluation into the
+// next gnn.Model.PredictBatch forward pass. Rankings are bit-identical to the
 // serial pipeline; only throughput and latency change.
 //
 // With -cache-file the advise-response cache is snapshotted periodically

@@ -28,26 +28,37 @@ import (
 )
 
 // Predictor is the cost-model interface: a scaled-runtime regressor over
-// encoded samples. Advise fans its variant grid across goroutines (see
-// SetWorkers), so implementations must be safe for concurrent Predict
-// calls — or the advisor must be pinned to SetWorkers(1). *gnn.Model is
-// safe (each call builds its own forward pass over read-only weights), as
-// is the serving batcher (internal/serve), which coalesces concurrent
-// Predict calls into batches.
+// encoded samples. Unless it also implements BatchPredictor, Advise fans
+// its Predict calls across goroutines (see SetWorkers), so implementations
+// must be safe for concurrent Predict calls — or the advisor must be
+// pinned to SetWorkers(1). *gnn.Model is safe (each call builds its own
+// forward pass over read-only weights).
 type Predictor interface {
 	Predict(*gnn.Sample) float64
 }
 
-// ContextPredictor is an optional Predictor extension: a predictor that
-// threads the request context through, so a request-scoped trace
-// (internal/obs) reaches the batching layer and its queue-wait and
-// predict spans land on the right request — and so cancellation
-// propagates: a predictor may return ctx.Err() instead of a value when
-// the caller gave up, letting an advise grid abort mid-fan-out rather
-// than evaluate work nobody is waiting for. Plain Predictors keep
-// working untraced and uncancellable.
-type ContextPredictor interface {
-	PredictCtx(context.Context, *gnn.Sample) (float64, error)
+// BatchPredictor is the interface the advisor predicts through: one call
+// scores a whole variant grid. The serving batcher (internal/serve)
+// implements it, threading the request context through so a
+// request-scoped trace (internal/obs) receives its queue-wait and predict
+// spans, and so cancellation propagates: it may return ctx.Err() instead
+// of values when the caller gave up. New adapts a plain Predictor, which
+// stays untraced and uncancellable.
+type BatchPredictor interface {
+	PredictBatchCtx(context.Context, []*gnn.Sample) ([]float64, error)
+}
+
+// perSample adapts a plain Predictor to BatchPredictor: one Predict per
+// sample, fanned across the advisor's grid workers.
+type perSample struct {
+	p Predictor
+	a *Advisor
+}
+
+func (ps perSample) PredictBatchCtx(_ context.Context, ss []*gnn.Sample) ([]float64, error) {
+	out := make([]float64, len(ss))
+	ps.a.fanOut(len(ss), func(i int) { out[i] = ps.p.Predict(ss[i]) })
+	return out, nil
 }
 
 // EncodeCache memoizes the parse→BuildKernel→Encode pipeline across Advise
@@ -63,7 +74,7 @@ type EncodeCache interface {
 
 // Advisor ranks kernel variants by predicted runtime on one machine.
 type Advisor struct {
-	model    Predictor
+	model    BatchPredictor
 	prep     *dataset.Prepared // training-time scalers
 	machine  hw.Machine
 	level    paragraph.Level
@@ -72,9 +83,16 @@ type Advisor struct {
 }
 
 // New builds an advisor from a trained predictor and the Prepared dataset
-// it was trained on (whose scalers must be reused at inference).
+// it was trained on (whose scalers must be reused at inference). A model
+// that implements BatchPredictor scores each grid in one call.
 func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
-	return &Advisor{model: model, prep: prep, machine: machine, level: paragraph.LevelParaGraph}
+	a := &Advisor{prep: prep, machine: machine, level: paragraph.LevelParaGraph}
+	if bp, ok := model.(BatchPredictor); ok {
+		a.model = bp
+	} else {
+		a.model = perSample{model, a}
+	}
+	return a
 }
 
 // SetLevel selects the representation level EncodeInstance builds graphs
@@ -82,9 +100,10 @@ func New(model Predictor, prep *dataset.Prepared, machine hw.Machine) *Advisor {
 // was trained on (registry checkpoints record theirs in the manifest).
 func (a *Advisor) SetLevel(l paragraph.Level) { a.level = l }
 
-// SetWorkers bounds the goroutines Advise fans the variant grid across.
-// n <= 0 restores the default (GOMAXPROCS); n == 1 recovers the serial
-// evaluation order exactly.
+// SetWorkers bounds the goroutines Advise fans the variant grid's
+// generate→encode chains (and a plain Predictor's calls) across. n <= 0
+// restores the default (GOMAXPROCS); n == 1 recovers the serial evaluation
+// order exactly.
 func (a *Advisor) SetWorkers(n int) { a.workers = n }
 
 // SetEncodeCache injects a cache for encoded graphs, letting repeated
@@ -119,22 +138,26 @@ type Recommendation struct {
 
 // Advise enumerates the machine-compatible variants of kernel k under
 // bindings, predicts each statically, and returns them sorted by predicted
-// runtime (fastest first). Each grid point's generate→encode→predict chain
-// is independent, so the grid is fanned out across SetWorkers goroutines;
-// results keep the serial enumeration order before the stable sort, so the
-// ranking is identical to a one-worker run.
+// runtime (fastest first). Each grid point's generate→encode chain is
+// independent, so the grid is fanned out across SetWorkers goroutines; the
+// encoded grid is then scored in one predict call. Results keep the serial
+// enumeration order before the stable sort, so the ranking is identical to
+// a one-worker run.
 func (a *Advisor) Advise(k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	return a.AdviseCtx(context.Background(), k, bindings, space)
 }
 
 // AdviseCtx is Advise with a request context: a trace attached to ctx
-// (obs.WithTrace) receives per-stage spans — encode on pipeline runs,
-// queue wait and predict from a batching ContextPredictor, rank around the
-// final sort.
+// (obs.WithTrace) receives per-stage spans — grid_encode around grid
+// enumeration and the fan-out, with an encode span per pipeline run inside
+// it; queue wait and predict from a batching BatchPredictor; rank around
+// descaling and the final sort.
 func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysis.Env, space SearchSpace) ([]Recommendation, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
+	tr := obs.TraceFrom(ctx)
+	enc := tr.StartSpan("grid_encode")
 	type pt struct {
 		kind           variants.Kind
 		teams, threads int
@@ -160,70 +183,47 @@ func (a *Advisor) AdviseCtx(ctx context.Context, k apps.Kernel, bindings analysi
 		}
 	}
 	if len(grid) == 0 {
+		enc.End()
 		return nil, fmt.Errorf("advisor: no %s-compatible variants for kernel %q",
 			machineClass(a.machine), k.Name)
 	}
 
-	recs := make([]Recommendation, len(grid))
+	srcs := make([]string, len(grid))
+	samples := make([]*gnn.Sample, len(grid))
 	errs := make([]error, len(grid))
-	eval := func(i int) {
+	a.fanOut(len(grid), func(i int) {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			return
+		}
 		g := grid[i]
-		src, err := variants.Generate(k, g.kind, g.teams, g.threads)
-		if err != nil {
-			errs[i] = err
+		srcs[i], errs[i] = variants.Generate(k, g.kind, g.teams, g.threads)
+		if errs[i] != nil {
 			return
 		}
-		in := variants.Instance{
+		samples[i], errs[i] = a.EncodeInstanceCtx(ctx, variants.Instance{
 			Kernel: k, Kind: g.kind, Teams: g.teams, Threads: g.threads,
-			Bindings: bindings, Source: src,
-		}
-		us, err := a.PredictInstanceUSCtx(ctx, in)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		recs[i] = Recommendation{
-			Kind: g.kind, Teams: g.teams, Threads: g.threads,
-			PredictedUS: us, Source: src,
-		}
-	}
-
-	workers := a.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(grid) {
-		workers = len(grid)
-	}
-	if workers <= 1 {
-		for i := range grid {
-			eval(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					eval(i)
-				}
-			}()
-		}
-		for i := range grid {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+			Bindings: bindings, Source: srcs[i],
+		})
+	})
+	enc.End()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("advisor: variant %s g%d t%d: %w",
 				grid[i].kind, grid[i].teams, grid[i].threads, err)
 		}
 	}
-	rank := obs.TraceFrom(ctx).StartSpan("rank")
+	preds, err := a.model.PredictBatchCtx(ctx, samples)
+	if err != nil {
+		return nil, fmt.Errorf("advisor: predict: %w", err)
+	}
+	rank := tr.StartSpan("rank")
+	recs := make([]Recommendation, len(grid))
+	for i, g := range grid {
+		recs[i] = Recommendation{
+			Kind: g.kind, Teams: g.teams, Threads: g.threads,
+			PredictedUS: a.prep.DescaleUS(preds[i]), Source: srcs[i],
+		}
+	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].PredictedUS < recs[j].PredictedUS })
 	rank.End()
 	return recs, nil
@@ -244,22 +244,52 @@ func (a *Advisor) PredictInstanceUS(in variants.Instance) (float64, error) {
 	return a.PredictInstanceUSCtx(context.Background(), in)
 }
 
-// PredictInstanceUSCtx is PredictInstanceUS with a request context. A
-// ContextPredictor receives the context (tracing the batch queue wait and
-// forward pass); a plain Predictor is called as before.
+// PredictInstanceUSCtx is PredictInstanceUS with a request context,
+// passed to the predictor as a one-sample batch.
 func (a *Advisor) PredictInstanceUSCtx(ctx context.Context, in variants.Instance) (float64, error) {
 	s, err := a.EncodeInstanceCtx(ctx, in)
 	if err != nil {
 		return 0, err
 	}
-	if cp, ok := a.model.(ContextPredictor); ok {
-		v, err := cp.PredictCtx(ctx, s)
-		if err != nil {
-			return 0, err
-		}
-		return a.prep.DescaleUS(v), nil
+	v, err := a.model.PredictBatchCtx(ctx, []*gnn.Sample{s})
+	if err != nil {
+		return 0, err
 	}
-	return a.prep.DescaleUS(a.model.Predict(s)), nil
+	return a.prep.DescaleUS(v[0]), nil
+}
+
+// fanOut runs fn(0), …, fn(n-1) across the advisor's workers (SetWorkers);
+// with one worker they run in order on the calling goroutine.
+func (a *Advisor) fanOut(n int, fn func(i int)) {
+	workers := a.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	work := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 }
 
 // EncodeInstance builds the model-ready sample for an unseen instance,

@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -214,6 +215,29 @@ func TestDefaultSearchSpaceNonEmpty(t *testing.T) {
 
 // TestConcurrentAdviseMatchesSerial pins the service contract: fanning the
 // grid across workers must reproduce the serial ranking exactly.
+// gridOracle is weightOracle behind BatchPredictor, recording the size of
+// each call and honouring cancellation.
+type gridOracle struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (g *gridOracle) Predict(s *gnn.Sample) float64 { return weightOracle{}.Predict(s) }
+
+func (g *gridOracle) PredictBatchCtx(ctx context.Context, ss []*gnn.Sample) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	g.sizes = append(g.sizes, len(ss))
+	g.mu.Unlock()
+	out := make([]float64, len(ss))
+	for i, s := range ss {
+		out[i] = weightOracle{}.Predict(s)
+	}
+	return out, nil
+}
+
 func TestConcurrentAdviseMatchesSerial(t *testing.T) {
 	k, _ := apps.ByName("matmul")
 	bindings := map[string]float64{"n": 256}
@@ -226,20 +250,48 @@ func TestConcurrentAdviseMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		conc := New(weightOracle{}, testPrep(), hw.V100())
-		conc.SetWorkers(workers)
-		got, err := conc.Advise(k, bindings, space)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d recs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: rec %d = %+v, want %+v", workers, i, got[i], want[i])
+		// A batch predictor scores the whole grid in one call and ranks
+		// exactly like the plain predictor.
+		batch := &gridOracle{}
+		for _, model := range []Predictor{weightOracle{}, batch} {
+			conc := New(model, testPrep(), hw.V100())
+			conc.SetWorkers(workers)
+			got, err := conc.Advise(k, bindings, space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d %T: %d recs, want %d", workers, model, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("workers=%d %T: rec %d = %+v, want %+v", workers, model, i, got[i], want[i])
+				}
 			}
 		}
+		if len(batch.sizes) != 1 || batch.sizes[0] != len(want) {
+			t.Errorf("workers=%d: batch calls = %v, want one of %d", workers, batch.sizes, len(want))
+		}
+	}
+}
+
+// TestAdviseCancelledSkipsWork: an advise whose context is already done
+// encodes nothing, never reaches the predictor, and reports the
+// cancellation.
+func TestAdviseCancelledSkipsWork(t *testing.T) {
+	k, _ := apps.ByName("matmul")
+	cache := newCountingCache()
+	model := &gridOracle{}
+	a := New(model, testPrep(), hw.V100())
+	a.SetEncodeCache(cache)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := a.AdviseCtx(ctx, k, map[string]float64{"n": 256}, DefaultSearchSpace())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("AdviseCtx = %v, want context.Canceled", err)
+	}
+	if cache.adds != 0 || len(model.sizes) != 0 {
+		t.Errorf("cancelled advise did work: %d encodes, predictor calls %v", cache.adds, model.sizes)
 	}
 }
 

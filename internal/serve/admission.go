@@ -16,7 +16,7 @@ import (
 
 // This file is the glue between internal/admit (pure policy) and the HTTP
 // layer: client identity, deadline extraction, evaluation-cost estimation
-// from the batcher's live latency histograms, and the single place a
+// from the batcher's live per-sample model time, and the single place a
 // ShedError becomes a 503 with a Retry-After header.
 
 // clientKey identifies the requester for fair queueing: the
@@ -54,15 +54,16 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// evalUnit is the live per-evaluation cost estimate for one model: the
-// median per-prediction latency through its batcher. Zero until the model
-// has served traffic — a cold server never sheds on a guess.
+// evalUnit is the live per-sample cost estimate for one model: its
+// batcher's average model time per sample, queue wait excluded.
+// Zero until the model has served traffic — a cold server never sheds on a
+// guess. A predict costs one unit.
 func evalUnit(ms *modelState) time.Duration {
-	return time.Duration(ms.batcher.latency.Quantile(0.5) * float64(time.Second))
+	return time.Duration(ms.batcher.unitNS.Load())
 }
 
-// adviseGridPoints counts the predictions one advise request will fan
-// out, mirroring AdviseCtx's enumeration (machine-compatible variant
+// adviseGridPoints counts the predictions one advise request will batch,
+// mirroring AdviseCtx's enumeration (machine-compatible variant
 // kinds × the search space) without generating anything.
 func adviseGridPoints(be *backendState, k apps.Kernel, space advisor.SearchSpace) int {
 	points := 0
@@ -82,24 +83,10 @@ func adviseGridPoints(be *backendState, k apps.Kernel, space advisor.SearchSpace
 	return points
 }
 
-// adviseCost estimates one advise evaluation end to end: grid points
-// spread over the advisor's workers, each wave costing the model's live
-// per-prediction unit.
-func (s *Server) adviseCost(be *backendState, ms *modelState, k apps.Kernel, space advisor.SearchSpace) time.Duration {
-	unit := evalUnit(ms)
-	if unit <= 0 {
-		return 0
-	}
-	points := adviseGridPoints(be, k, space)
-	workers := s.opts.GridWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	waves := (points + workers - 1) / workers
-	if waves < 1 {
-		waves = 1
-	}
-	return time.Duration(waves) * unit
+// adviseCost estimates one advise evaluation: the whole grid goes to the
+// model as one batch, so it costs one unit per grid point.
+func adviseCost(be *backendState, ms *modelState, k apps.Kernel, space advisor.SearchSpace) time.Duration {
+	return time.Duration(adviseGridPoints(be, k, space)) * evalUnit(ms)
 }
 
 // shedCheck decides up front whether a deadline-carrying request should

@@ -12,7 +12,7 @@ import (
 )
 
 // echoModel predicts each sample's first feature, optionally sleeping to
-// widen the batching window under test.
+// keep an evaluation in flight while others queue.
 type echoModel struct {
 	delay time.Duration
 	mu    sync.Mutex
@@ -41,7 +41,7 @@ func (m *echoModel) callCount() int {
 
 func TestBatcherPredictRoundTrips(t *testing.T) {
 	model := &echoModel{}
-	b := NewBatcher(model, 4, time.Millisecond)
+	b := NewBatcher(model, 4)
 	defer b.Close()
 	for i := 0; i < 5; i++ {
 		want := float64(i) / 10
@@ -56,48 +56,94 @@ func TestBatcherPredictRoundTrips(t *testing.T) {
 }
 
 func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	// With a sluggish model and many concurrent callers, requests arriving
-	// while a batch window is open must share forward passes: far fewer
-	// model calls than samples.
-	model := &echoModel{delay: 2 * time.Millisecond}
-	b := NewBatcher(model, 8, 20*time.Millisecond)
+	// Requests that queue while an evaluation is blocked must share the
+	// next PredictBatch call: one forward pass for all of them.
+	model := &blockingModel{release: make(chan struct{})}
+	b := NewBatcher(model, 8)
 	defer b.Close()
 
-	const n = 64
+	const n = 8
 	var wg sync.WaitGroup
-	results := make([]float64, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = b.Predict(&gnn.Sample{Feats: [2]float64{float64(i), 0}})
-		}(i)
+	results := make([]float64, n+1)
+	predict := func(i int) {
+		defer wg.Done()
+		results[i] = b.Predict(&gnn.Sample{Feats: [2]float64{float64(i), 0}})
 	}
+	wg.Add(1)
+	go predict(0)
+	waitCalls(t, model, 1) // request 0 is parked inside the model
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go predict(i)
+	}
+	waitQueued(t, b, n)
+	close(model.release)
 	wg.Wait()
+
 	for i, got := range results {
 		if got != float64(i) {
 			t.Errorf("request %d: got %v", i, got)
 		}
 	}
+	if sizes := model.batchSizes(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != n {
+		t.Errorf("PredictBatch sizes = %v, want [1 %d]: requests queued during an evaluation must share the next one", sizes, n)
+	}
 	st := b.Stats()
-	if st.Samples != n {
-		t.Fatalf("samples = %d, want %d", st.Samples, n)
+	if st.Samples != n+1 || st.Batches != 2 || st.MaxBatch != n {
+		t.Errorf("stats = %+v, want %d samples in 2 batches, max %d", st, n+1, n)
 	}
-	if calls := model.callCount(); calls >= n {
-		t.Errorf("no coalescing: %d model calls for %d samples", calls, n)
+	if want := float64(n) / float64(n+1); st.CoalescedShare != want {
+		t.Errorf("coalesced share = %v, want %v", st.CoalescedShare, want)
 	}
-	if st.MaxBatch < 2 {
-		t.Errorf("max batch %d, expected >= 2", st.MaxBatch)
+}
+
+func TestBatcherNeverSplitsARequest(t *testing.T) {
+	// A request is one unit: one larger than MaxBatch is evaluated whole,
+	// and a queued request that would overflow the batch waits for the
+	// next one rather than being split across two.
+	model := &blockingModel{release: make(chan struct{})}
+	b := NewBatcher(model, 4)
+	defer b.Close()
+
+	samples := func(base, n int) []*gnn.Sample {
+		ss := make([]*gnn.Sample, n)
+		for i := range ss {
+			ss[i] = &gnn.Sample{Feats: [2]float64{float64(base + i), 0}}
+		}
+		return ss
 	}
-	if st.CoalescedShare == 0 {
-		t.Error("no samples shared a batch")
+	var wg sync.WaitGroup
+	submit := func(base, n int) {
+		defer wg.Done()
+		got, err := b.PredictBatchCtx(context.Background(), samples(base, n))
+		if err != nil {
+			t.Errorf("request at %d: %v", base, err)
+			return
+		}
+		for i, v := range got {
+			if v != float64(base+i) {
+				t.Errorf("request at %d, sample %d: got %v", base, i, v)
+			}
+		}
+	}
+	wg.Add(1)
+	go submit(0, 6) // larger than MaxBatch: evaluated alone, unsplit
+	waitCalls(t, model, 1)
+	wg.Add(2)
+	go submit(100, 3)
+	go submit(200, 3) // 3+3 > 4: the second waits for the next batch
+	waitQueued(t, b, 6)
+	close(model.release)
+	wg.Wait()
+	if sizes := model.batchSizes(); len(sizes) != 3 || sizes[0] != 6 || sizes[1] != 3 || sizes[2] != 3 {
+		t.Errorf("PredictBatch sizes = %v, want [6 3 3]", sizes)
 	}
 }
 
 func TestBatcherRespectsMaxBatch(t *testing.T) {
 	model := &echoModel{delay: time.Millisecond}
 	const maxBatch = 4
-	b := NewBatcher(model, maxBatch, 50*time.Millisecond)
+	b := NewBatcher(model, maxBatch)
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -115,7 +161,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 
 func TestBatcherCloseDrains(t *testing.T) {
 	model := &echoModel{delay: time.Millisecond}
-	b := NewBatcher(model, 8, 5*time.Millisecond)
+	b := NewBatcher(model, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -136,7 +182,7 @@ func TestBatcherPredictAfterCloseDegradesGracefully(t *testing.T) {
 	// A handler racing shutdown must still get a correct answer — directly
 	// evaluated, not a panic or a hang.
 	model := &echoModel{}
-	b := NewBatcher(model, 4, time.Millisecond)
+	b := NewBatcher(model, 4)
 	b.Close()
 	if got := b.Predict(&gnn.Sample{Feats: [2]float64{0.75, 0}}); got != 0.75 {
 		t.Errorf("post-Close Predict = %v, want 0.75", got)
@@ -148,7 +194,7 @@ func TestBatcherPredictAfterCloseDegradesGracefully(t *testing.T) {
 
 func TestBatcherLatencyQuantiles(t *testing.T) {
 	model := &echoModel{delay: time.Millisecond}
-	b := NewBatcher(model, 4, time.Millisecond)
+	b := NewBatcher(model, 4)
 	defer b.Close()
 	for i := 0; i < 20; i++ {
 		b.Predict(&gnn.Sample{Feats: [2]float64{0.5, 0}})
@@ -168,33 +214,72 @@ func TestBatcherLatencyQuantiles(t *testing.T) {
 }
 
 func TestBatcherEmptyLatencyStats(t *testing.T) {
-	b := NewBatcher(&echoModel{}, 4, time.Millisecond)
+	b := NewBatcher(&echoModel{}, 4)
 	defer b.Close()
 	if lat := b.Stats().Latency; lat.Count != 0 || lat.P50MS != 0 || lat.P99MS != 0 {
 		t.Errorf("latency stats before any prediction = %+v", lat)
 	}
 }
 
-// blockingModel parks every PredictBatch call until released, counting the
-// samples it was actually asked to evaluate.
+// blockingModel parks every PredictBatch call until released, recording
+// the size of each batch it was actually asked to evaluate, and predicts
+// each sample's first feature.
 type blockingModel struct {
 	release chan struct{}
 	mu      sync.Mutex
-	seen    int
+	sizes   []int
 }
 
 func (m *blockingModel) PredictBatch(ss []*gnn.Sample) []float64 {
-	<-m.release
 	m.mu.Lock()
-	m.seen += len(ss)
+	m.sizes = append(m.sizes, len(ss))
 	m.mu.Unlock()
-	return make([]float64, len(ss))
+	<-m.release
+	out := make([]float64, len(ss))
+	for i, s := range ss {
+		out[i] = s.Feats[0]
+	}
+	return out
+}
+
+func (m *blockingModel) batchSizes() []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]int(nil), m.sizes...)
 }
 
 func (m *blockingModel) seenSamples() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seen
+	n := 0
+	for _, k := range m.batchSizes() {
+		n += k
+	}
+	return n
+}
+
+// waitCalls waits until the model has been entered n times.
+func waitCalls(t *testing.T, m *blockingModel, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(m.batchSizes()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("model entered %d times, want %d", len(m.batchSizes()), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// waitQueued waits until n samples are queued behind the collector, then
+// gives their senders a moment to block on the hand-off.
+func waitQueued(t *testing.T, b *Batcher, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.queued.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued = %d, want %d", b.queued.Load(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond)
 }
 
 func TestBatcherPredictCtxAlreadyCancelled(t *testing.T) {
@@ -202,7 +287,7 @@ func TestBatcherPredictCtxAlreadyCancelled(t *testing.T) {
 	// the caller's context was already dead. Now it must return immediately,
 	// without ever touching the model.
 	model := &echoModel{}
-	b := NewBatcher(model, 4, time.Hour) // window would block for an hour
+	b := NewBatcher(model, 4)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -228,27 +313,25 @@ func TestBatcherPredictCtxAlreadyCancelled(t *testing.T) {
 }
 
 func TestBatcherCancelDuringQueueWaitAbortsWork(t *testing.T) {
-	// A request sitting in an open batch window whose caller gives up must
-	// (a) unblock the caller immediately and (b) be dropped from the batch
-	// before the model runs — cancellation aborts queued work, not just the
-	// wait for it.
+	// A request queued behind a blocked evaluation whose caller gives up
+	// must (a) unblock the caller immediately and (b) never reach the
+	// model — cancellation aborts queued work, not just the wait for it.
 	model := &blockingModel{release: make(chan struct{})}
-	// maxBatch 2: the live request below fills the batch and forces the
-	// flush; the window alone would hold it open past the test's life.
-	b := NewBatcher(model, 2, 30*time.Minute)
+	b := NewBatcher(model, 4)
 	defer b.Close()
+
+	// Park one live request inside the model.
+	parked := make(chan float64, 1)
+	go func() { parked <- b.Predict(&gnn.Sample{Feats: [2]float64{1, 0}}) }()
+	waitCalls(t, model, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := b.PredictCtx(ctx, &gnn.Sample{Feats: [2]float64{1, 0}})
+		_, err := b.PredictCtx(ctx, &gnn.Sample{Feats: [2]float64{2, 0}})
 		errc <- err
 	}()
-	// Wait for the request to reach the collector's open batch.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.queued.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitQueued(t, b, 1)
 	cancel()
 	select {
 	case err := <-errc:
@@ -258,24 +341,30 @@ func TestBatcherCancelDuringQueueWaitAbortsWork(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("PredictCtx still blocked after cancel: ctx not honored during queue wait")
 	}
-	// A live request fills the batch, forcing the flush; the cancelled one
-	// must be filtered out of it before the model runs.
+	// A live request queued after the cancellation rides the next batch;
+	// the cancelled one must not be in it.
 	live := make(chan float64, 1)
 	go func() {
-		v, err := b.PredictCtx(context.Background(), &gnn.Sample{Feats: [2]float64{2, 0}})
+		v, err := b.PredictCtx(context.Background(), &gnn.Sample{Feats: [2]float64{3, 0}})
 		if err != nil {
 			t.Errorf("live request failed: %v", err)
 		}
 		live <- v
 	}()
+	waitQueued(t, b, 1)
 	close(model.release) // let evaluations proceed from here on
-	select {
-	case <-live:
-	case <-time.After(10 * time.Second):
-		t.Fatal("live request starved after a cancellation in the same window")
+	for _, c := range []chan float64{parked, live} {
+		select {
+		case <-c:
+		case <-time.After(10 * time.Second):
+			t.Fatal("live request starved after a cancellation in the queue")
+		}
 	}
-	if n := model.seenSamples(); n != 1 {
-		t.Errorf("model evaluated %d samples, want only the live one", n)
+	if n := model.seenSamples(); n != 2 {
+		t.Errorf("model evaluated %d samples, want only the 2 live ones", n)
+	}
+	if c := b.Stats().Cancelled; c != 1 {
+		t.Errorf("cancelled counter = %d, want 1", c)
 	}
 }
 
@@ -283,7 +372,7 @@ func TestBatcherCancelLeaksNoGoroutines(t *testing.T) {
 	// After a storm of cancelled predictions drains, no collector-side or
 	// caller-side goroutines may linger (run under -race in CI).
 	model := &echoModel{delay: time.Millisecond}
-	b := NewBatcher(model, 4, time.Millisecond)
+	b := NewBatcher(model, 4)
 
 	before := runtime.NumGoroutine()
 	var wg sync.WaitGroup

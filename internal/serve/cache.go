@@ -9,9 +9,10 @@
 // cache memoizes whole advise responses and the parse→build→encode
 // pipeline behind them; identical concurrent misses collapse into one
 // evaluation (singleflight); a bounded worker pool caps evaluations in
-// flight while each fans its variant grid across goroutines
-// (internal/advisor); and a per-model micro-batching queue coalesces
-// concurrently-arriving samples into gnn.Model.PredictBatch calls. The
+// flight while each fans its variant grid's encoding across goroutines
+// (internal/advisor); and a per-model idle-flush batcher scores each
+// grid in one gnn.Model.PredictBatch call, coalescing requests that queue
+// behind a running evaluation. The
 // advise-response cache can be snapshotted and restored across restarts
 // (snapshot.go), and EnableCluster shards the whole tier across processes
 // with a consistent-hash ring over the cache keys — each key owned by its

@@ -182,7 +182,7 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 
 	labels := obs.L("platform", machine, "model", name)
 	m.reg.RegisterHistogram("serve_batcher_latency_seconds",
-		"Per-prediction latency through the micro-batcher (enqueue to result), by model.",
+		"Per-request latency through the micro-batcher (enqueue to result), by model.",
 		labels, ms.batcher.latency)
 	m.reg.RegisterHistogram("serve_batch_size",
 		"Samples per evaluated micro-batch, by model.", labels, ms.batcher.sizes)
@@ -193,7 +193,7 @@ func (m *serveMetrics) registerModel(machine, name string, ms *modelState) {
 		"Batches evaluated, by model.", labels,
 		func() float64 { return float64(ms.batcher.Stats().Batches) })
 	m.reg.CounterFunc("serve_batcher_cancelled_total",
-		"Predictions abandoned by their context before evaluation, by model.", labels,
+		"Batcher requests abandoned by their context before evaluation, by model.", labels,
 		func() float64 { return float64(ms.batcher.cancelled.Load()) })
 	m.reg.CounterFunc("serve_model_advise_total",
 		"Advise responses computed or served, by model.", labels,

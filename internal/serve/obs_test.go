@@ -124,9 +124,10 @@ func TestTraceCapturesRequestSpans(t *testing.T) {
 			t.Errorf("span %q has negative duration %d", sp.Name, sp.DurUS)
 		}
 	}
-	// A cold advise runs the full path: decode, response-cache lookup,
-	// pool admission, batcher queue wait, model predict and the final rank.
-	for _, want := range []string{"decode", "cache_lookup", "pool_wait", "queue_wait", "predict", "rank"} {
+	// A cold advise runs the full path: decode, request resolution,
+	// response-cache lookup, pool admission, grid encode, batcher queue
+	// wait, model predict, the rank and the response render.
+	for _, want := range []string{"decode", "resolve", "cache_lookup", "pool_wait", "grid_encode", "queue_wait", "predict", "rank", "render"} {
 		if !names[want] {
 			t.Errorf("trace missing span %q (got %v)", want, names)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"paragraph/internal/admit"
+	"paragraph/internal/advisor"
+	"paragraph/internal/apps"
 	"paragraph/internal/gnn"
 	"paragraph/internal/hw"
 )
@@ -191,7 +195,7 @@ func TestOverloadDeadlineShedding(t *testing.T) {
 	})
 
 	// Warm-up: a cold server never sheds on a guess, so this must succeed
-	// and seed the per-prediction latency histogram (~30ms median).
+	// and seed the per-sample cost estimate (one ~30ms batch of 4 points).
 	if rec := do(t, s, http.MethodPost, "/v1/advise", overloadReq(0), nil); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up advise: %d %s", rec.Code, rec.Body.String())
 	}
@@ -210,8 +214,8 @@ func TestOverloadDeadlineShedding(t *testing.T) {
 	}
 
 	// Interactive misses with a 5ms budget: the drain estimate (>= one
-	// 4-point evaluation at ~30ms/point) dwarfs it, so they shed now, not
-	// after blocking through the backlog.
+	// 4-point evaluation, ~30ms) dwarfs it, so they shed now, not after
+	// blocking through the backlog.
 	for i := 0; i < 5; i++ {
 		start := time.Now()
 		rec := doH(t, s, http.MethodPost, "/v1/advise", overloadReq(100+i),
@@ -267,6 +271,91 @@ func TestOverloadDeadlineShedding(t *testing.T) {
 	}
 	if stats.Shed["expired"] < 1 {
 		t.Errorf("shed[expired] = %d, want >= 1", stats.Shed["expired"])
+	}
+}
+
+// TestOverloadShedCostIsPerSampleModelTime: the shed estimator prices an
+// advise as grid points × the model's per-sample evaluation time (queue
+// wait excluded; the grid is one batch) and a predict as one sample, so
+// even an idle server rejects a budget shorter than one grid evaluation
+// and admits one that covers it.
+func TestOverloadShedCostIsPerSampleModelTime(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	s := newOverloadServer(t, slowModel{delay: delay}, Options{
+		PoolSize: 1, GridWorkers: 1,
+	})
+	req := overloadReq(0)
+	if rec := do(t, s, http.MethodPost, "/v1/advise", req, nil); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up advise: %d %s", rec.Code, rec.Body.String())
+	}
+	be, err := s.resolveBackend(req.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := be.models["default"]
+	k, _ := apps.ByName(req.Kernel)
+	space := advisor.SearchSpace{GPUTeams: req.Space.GPUTeams, GPUThreads: req.Space.GPUThreads}
+	points := adviseGridPoints(be, k, space)
+	if points < 2 {
+		t.Fatalf("grid of %d points cannot tell per-sample from per-batch cost", points)
+	}
+
+	// The warm-up scored its whole grid in one batch of about delay, so a
+	// sample costs delay/points — not the batch's (or request's) latency.
+	unit := evalUnit(ms)
+	if per := delay / time.Duration(points); unit < per || unit >= delay {
+		t.Errorf("per-sample unit = %v, want in [%v, %v)", unit, per, delay)
+	}
+	cost := adviseCost(be, ms, k, space)
+	if cost != time.Duration(points)*unit {
+		t.Errorf("advise cost = %v, want %d points × %v", cost, points, unit)
+	}
+
+	// The estimator's verdict on an idle server: one evaluation's cost
+	// against the budget. A budget between one sample and one grid admits
+	// a predict and sheds an advise.
+	budget := func(d time.Duration) context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	mid := (unit + cost) / 2
+	if shed := s.shedCheck(budget(mid), cost); shed == nil || shed.Reason != admit.ReasonDeadline {
+		t.Errorf("advise (cost %v) with a %v budget: shed = %v, want deadline", cost, mid, shed)
+	}
+	if shed := s.shedCheck(budget(10*time.Second), cost); shed != nil {
+		t.Errorf("advise with a 10s budget shed: %v", shed)
+	}
+	if shed := s.shedCheck(budget(mid), evalUnit(ms)); shed != nil {
+		t.Errorf("predict (cost %v) with a %v budget shed: %v", unit, mid, shed)
+	}
+
+	// End to end: an infeasible deadline sheds up front, a feasible one is
+	// admitted and served.
+	start := time.Now()
+	rec := doH(t, s, http.MethodPost, "/v1/advise", overloadReq(1),
+		map[string]string{"X-Paragraph-Deadline": "5ms"})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("5ms-budget cold advise = %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	checkRetryAfter(t, rec)
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Errorf("infeasible advise took %v; it must shed before evaluating", elapsed)
+	}
+	if rec := doH(t, s, http.MethodPost, "/v1/advise", overloadReq(2),
+		map[string]string{"X-Paragraph-Deadline": "10s"}); rec.Code != http.StatusOK {
+		t.Errorf("10s-budget cold advise = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if rec := doH(t, s, http.MethodPost, "/v1/predict", PredictRequest{
+		Kernel: "matmul", Machine: req.Machine, Variant: "gpu_collapse",
+		Teams: 64, Threads: 128, Bindings: map[string]float64{"n": 3},
+	}, map[string]string{"X-Paragraph-Deadline": "10s"}); rec.Code != http.StatusOK {
+		t.Errorf("10s-budget cold predict = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	var stats Stats
+	do(t, s, http.MethodGet, "/v1/stats", nil, &stats)
+	if stats.Shed["deadline"] != 1 {
+		t.Errorf("shed[deadline] = %d, want 1", stats.Shed["deadline"])
 	}
 }
 

@@ -61,12 +61,16 @@ type ModelInfo struct {
 
 // Options tunes the service layers. Zero values pick sensible defaults.
 type Options struct {
-	AdviseCacheSize int           // whole-response + prediction cache entries (default 512)
-	EncodeCacheSize int           // encoded-graph cache entries (default 2048)
-	MaxBatch        int           // batcher: max samples per forward pass (default 16)
-	BatchWait       time.Duration // batcher: batch window (default 2ms)
-	PoolSize        int           // max advise/predict evaluations in flight (default GOMAXPROCS)
-	GridWorkers     int           // per-advise grid fan-out (default GOMAXPROCS)
+	AdviseCacheSize int // whole-response + prediction cache entries (default 512)
+	// EncodeCacheSize bounds the encoded-graph cache (default 512, the
+	// advise cache's size). A repeated request is answered by the advise
+	// cache before it encodes, and the response key names the model, so
+	// this cache's hits come from reuse across model versions (canary and
+	// promote). Each entry holds a graph and its inference plan.
+	EncodeCacheSize int
+	MaxBatch        int // batcher: samples that coalesce into one forward pass (default 16; one larger request runs alone)
+	PoolSize        int // max advise/predict evaluations in flight (default GOMAXPROCS)
+	GridWorkers     int // per-advise generate→encode fan-out (default GOMAXPROCS)
 
 	// QueueLimit bounds the total requests waiting for an evaluation slot
 	// across all clients; arrivals beyond it are shed with 503 queue_full
@@ -140,7 +144,7 @@ func (o Options) withDefaults() Options {
 		o.AdviseCacheSize = 512
 	}
 	if o.EncodeCacheSize <= 0 {
-		o.EncodeCacheSize = 2048
+		o.EncodeCacheSize = 512
 	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = runtime.GOMAXPROCS(0)
@@ -371,7 +375,7 @@ func NewServer(backends []Backend, opts Options) (*Server, error) {
 // newModelState wires one model version into the serving plumbing: its
 // micro-batcher, the advisor on top, and the shared encode cache.
 func (s *Server) newModelState(machine hw.Machine, name string, model BatchPredictor, prep *dataset.Prepared, info ModelInfo) *modelState {
-	batcher := NewBatcher(model, s.opts.MaxBatch, s.opts.BatchWait)
+	batcher := NewBatcher(model, s.opts.MaxBatch)
 	adv := advisor.New(batcher, prep, machine)
 	adv.SetLevel(info.Level)
 	adv.SetWorkers(s.opts.GridWorkers)
@@ -787,13 +791,18 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dec.End()
+	// resolve covers routing the request to a model and deriving its keys;
+	// it ends on the failure paths too, so rejected requests are traced.
+	res := tr.StartSpan("resolve")
 	be, err := s.resolveBackend(req.Machine)
 	if err != nil {
+		res.End()
 		s.fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	k, err := resolveKernel(req.Kernel, req.Custom)
 	if err != nil {
+		res.End()
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -806,6 +815,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		fmtInts(space.CPUThreads), fmtInts(space.GPUTeams), fmtInts(space.GPUThreads))
 	ms, err := s.pickModel(be, req.Model, routeKey)
 	if err != nil {
+		res.End()
 		s.fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
@@ -822,6 +832,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		client:    clientKey(r),
 		forwarded: s.isForwarded(r),
 	}
+	res.End()
 
 	if async := r.URL.Query().Get("async"); async == "1" || async == "true" {
 		s.startAdviseJob(w, r, p)
@@ -839,7 +850,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	recs, pr, cached, coalesced, err := s.adviseRecs(ctx, tr, p)
 	if err != nil {
 		if shed, ok := asShed(err); ok {
-			s.writeShed(w, shed, s.adviseCost(be, ms, k, space))
+			s.writeShed(w, shed, adviseCost(be, ms, k, space))
 			return
 		}
 		s.fail(w, http.StatusUnprocessableEntity, "advise %s on %s/%s: %v", k.Name, be.machine.Name, ms.name, err)
@@ -857,9 +868,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if s.lifecycle != nil {
 		s.lifecycle.noteAdvise(p, recs)
 	}
+	render := tr.StartSpan("render")
 	resp := s.renderAdvise(p, recs, cached, coalesced)
 	resp.ElapsedMS = float64(time.Since(startReq).Microseconds()) / 1000
 	s.writeJSON(w, http.StatusOK, resp)
+	render.End()
 }
 
 // adviseParams is one advise evaluation's resolved inputs, shared by the
@@ -900,7 +913,7 @@ func (s *Server) adviseRecs(ctx context.Context, tr *obs.Trace, p adviseParams) 
 	// Deadline-aware shedding: a request that predictably cannot finish
 	// inside its budget is rejected before it holds anything — each caller
 	// applies its own deadline even when it would coalesce into a flight.
-	if shed := s.shedCheck(ctx, s.adviseCost(p.be, p.ms, p.k, p.space)); shed != nil {
+	if shed := s.shedCheck(ctx, adviseCost(p.be, p.ms, p.k, p.space)); shed != nil {
 		return nil, nil, false, false, shed
 	}
 	// The miss may belong to a peer: in cluster mode it is forwarded to

@@ -141,6 +141,49 @@ func TestAdviseColdThenCached(t *testing.T) {
 	}
 }
 
+// recordingModel is oracleModel that records the size of every batch it
+// evaluates.
+type recordingModel struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (m *recordingModel) PredictBatch(ss []*gnn.Sample) []float64 {
+	m.mu.Lock()
+	m.sizes = append(m.sizes, len(ss))
+	m.mu.Unlock()
+	return oracleModel{}.PredictBatch(ss)
+}
+
+// TestColdAdviseIsOneBatch: a cold advise scores its whole variant grid in
+// exactly one PredictBatch call, unsplit even when the grid is larger than
+// MaxBatch and however many grid workers encoded it.
+func TestColdAdviseIsOneBatch(t *testing.T) {
+	model := &recordingModel{}
+	s, err := NewServer([]Backend{{Machine: hw.V100(), Model: model, Prep: testPrep()}},
+		Options{GridWorkers: 4, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	req := adviseReq("NVIDIA V100 (GPU)")
+	req.Space = &SpaceSpec{GPUTeams: []int{16, 64, 128, 256}, GPUThreads: []int{64, 128, 256}}
+	var resp AdviseResponse
+	if rec := do(t, s, http.MethodPost, "/v1/advise", req, &resp); rec.Code != http.StatusOK {
+		t.Fatalf("cold advise: %d %s", rec.Code, rec.Body.String())
+	}
+	points := len(resp.Recommendations) // 4 GPU kinds × 4 teams × 3 threads
+	if points != 48 {
+		t.Fatalf("recommendations = %d, want 48", points)
+	}
+	model.mu.Lock()
+	sizes := append([]int(nil), model.sizes...)
+	model.mu.Unlock()
+	if len(sizes) != 1 || sizes[0] != points {
+		t.Errorf("PredictBatch calls = %v, want exactly one of all %d grid points", sizes, points)
+	}
+}
+
 func TestAdviseCPUAndGPUProfiles(t *testing.T) {
 	s := newTestServer(t)
 	var cpu, gpu AdviseResponse
